@@ -262,19 +262,6 @@ def master_region_vars(node: PatternNode) -> frozenset[Variable]:
     return master_region_vars(node.left) | master_region_vars(node.right)
 
 
-def optional_blocks(node: PatternNode) -> list[PatternNode]:
-    """Right sides of the left-outer joins on this node's spine."""
-    if isinstance(node, Bgp):
-        return []
-    if isinstance(node, Filter):
-        return optional_blocks(node.inner)
-    if isinstance(node, LeftJoin):
-        return optional_blocks(node.left) + [node.right]
-    if isinstance(node, Union):
-        return []
-    return optional_blocks(node.left) + optional_blocks(node.right)
-
-
 def iter_nodes(node: PatternNode) -> Iterator[PatternNode]:
     yield node
     if isinstance(node, Bgp):

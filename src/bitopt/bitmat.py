@@ -13,6 +13,7 @@ both sides; masks crossing the two spaces only intersect inside that range.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Sequence
 
@@ -104,6 +105,21 @@ def row_positions(row: CompressedRow) -> Iterator[int]:
             yield from range(at, at + length)
         at += length
         bit ^= 1
+
+
+def row_test(row: CompressedRow, pos: int) -> bool:
+    """Whether bit ``pos`` is set, without decoding the row."""
+    if row.tag == "pos":
+        at = bisect_left(row.payload, pos)
+        return at < len(row.payload) and row.payload[at] == pos
+    end = 0
+    bit = row.start_bit
+    for length in row.payload:
+        end += length
+        if pos <= end:
+            return bool(bit)
+        bit ^= 1
+    return False
 
 
 def row_mask(row: CompressedRow) -> int:
@@ -274,9 +290,7 @@ class BitMat:
 
     def test(self, r: int, c: int) -> bool:
         row = self.rows.get(r)
-        if row is None:
-            return False
-        return bool(row_mask(row) >> (c - 1) & 1)
+        return row is not None and row_test(row, c)
 
 
 def bitmat_from_cells(

@@ -140,9 +140,10 @@ def cmd_query(args) -> int:
         if query.distinct:
             outcome = distinct_eval(query, store, config)
             if args.explain:
-                result = run_query(query, store, config)
                 report = render_explain(
-                    query, result, [f"distinct.path={outcome.path}"] + [f"distinct.{ln}" for ln in outcome.mcs_trace]
+                    query,
+                    outcome.result,
+                    [f"distinct.path={outcome.path}"] + [f"distinct.{ln}" for ln in outcome.mcs_trace],
                 )
                 sys.stderr.write(report)
             _emit(outcome.relation, query.projection, out)

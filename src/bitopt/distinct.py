@@ -319,6 +319,7 @@ def shrink_mcs(mcs: Mcs, gosn: Gosn, so_count: int) -> Mcs:
 class DistinctOutcome:
     relation: Relation
     path: str  # "bmm-bgp" | "bmm-bgp-opt" | "naive"
+    result: EngineResult  # the engine run both paths start from
     mcs_trace: list[str] = field(default_factory=list)
 
 
@@ -376,7 +377,7 @@ def distinct_eval(
     naive_relation = best_match(result.relation.project(query.projection))
     path = None if (force_naive or not config.prune) else _bmm_eligible(query, result)
     if path is None:
-        return DistinctOutcome(naive_relation, "naive")
+        return DistinctOutcome(naive_relation, "naive", result)
     trace = result.disjuncts[0]
     gosn, got = trace.gosn, trace.got
     dvars = frozenset(query.projection)
@@ -402,12 +403,12 @@ def distinct_eval(
     mcs = carve_mcs(got, gosn, result.matrices, requirements, universe)
     trace_lines = [f"mcs.carved {mcs.describe()}"]
     if not mcs.connected():
-        return DistinctOutcome(naive_relation, "naive")
+        return DistinctOutcome(naive_relation, "naive", result)
     mcs = shrink_mcs(mcs, gosn, store.dictionary.n_so)
     trace_lines.extend(f"mcs.step.{i} {snap}" for i, snap in enumerate(mcs.evolution, 1))
     trace_lines.append(f"mcs.shrunk {mcs.describe()}")
     relation = _evaluate_mcs(mcs, gosn, store, query)
-    return DistinctOutcome(relation, path, trace_lines)
+    return DistinctOutcome(relation, path, result, trace_lines)
 
 
 def _evaluate_mcs(mcs: Mcs, gosn: Gosn, store: TripleStore, query: Query) -> Relation:

@@ -198,7 +198,6 @@ class MultiWayJoin:
         self.header = header
         self.by_index = {idx: matrices[idx] for idx in stps}
         self.stats = JoinStats()
-        self.nullified_any = False
         self._var_home: dict[Variable, int] = self._compute_homes()
         self._sn_vars = {
             sid: gosn.sn_vars(sid) for sid in gosn.supernodes
@@ -213,6 +212,10 @@ class MultiWayJoin:
                     if v not in homes or rank[sid] < rank[homes[v]]:
                         homes[v] = sid
         return homes
+
+    @property
+    def nullified_any(self) -> bool:
+        return self.stats.nullified_rows > 0
 
     def run(self) -> Iterator[dict[Variable, "Coord | None"]]:
         vmap: dict[Variable, "Coord | None"] = {}
@@ -276,7 +279,9 @@ class MultiWayJoin:
 
     def _finish(self, vmap, status) -> "dict | None":
         if self.nulreqd:
-            self._nullify_inconsistent(vmap, status)
+            self.stats.nullified_rows += _nullify_inconsistent(
+                self.gosn, self._sn_vars, vmap, status
+            )
         for sc in self.residual:
             verdict = eval_filter(
                 sc.conjunct,
@@ -296,37 +301,44 @@ class MultiWayJoin:
             if not slave_homes:
                 return None  # filter over master bindings only: drop the row
             for sid in slave_homes:
-                self._null_supernodes(vmap, self.gosn.slave_closure(sid))
+                self.stats.nullified_rows += _null_supernodes(
+                    self._sn_vars, vmap, self.gosn.slave_closure(sid)
+                )
         return vmap
 
-    def _nullify_inconsistent(self, vmap, status) -> None:
-        """Null every slave supernode where some pattern bound a triple while
-        a peer failed, plus the transitive slaves of anything nulled."""
-        rank = {sid: i for i, sid in enumerate(self.gosn.topo_order())}
-        bad: set[int] = set()
-        for sid, sn in self.gosn.supernodes.items():
-            if sid == self.gosn.abs_id:
-                continue
-            states = {status.get(tp.index) for tp in sn.patterns}
-            if BOUND in states and (FAILED in states or SKIPPED in states):
-                bad.add(sid)
-        closure: set[int] = set()
-        for sid in sorted(bad, key=lambda s: rank[s]):
-            closure |= self.gosn.slave_closure(sid)
-        if closure:
-            self._null_supernodes(vmap, closure)
 
-    def _null_supernodes(self, vmap, closure: set[int]) -> None:
-        protected: set[Variable] = set()
-        for sid in self.gosn.supernodes:
-            if sid not in closure:
-                protected |= self._sn_vars[sid]
-        for sid in closure:
-            for v in self._sn_vars[sid]:
-                if v not in protected and vmap.get(v) is not None:
-                    vmap[v] = None
-                    self.nullified_any = True
-                    self.stats.nullified_rows += 1
+def _nullify_inconsistent(gosn: Gosn, sn_vars: dict[int, frozenset[Variable]], vmap, status) -> int:
+    """Null every slave supernode where some pattern bound a triple while
+    a peer failed, plus the transitive slaves of anything nulled. Returns
+    the number of bindings nulled."""
+    rank = {sid: i for i, sid in enumerate(gosn.topo_order())}
+    bad: set[int] = set()
+    for sid, sn in gosn.supernodes.items():
+        if sid == gosn.abs_id:
+            continue
+        states = {status.get(tp.index) for tp in sn.patterns}
+        if BOUND in states and (FAILED in states or SKIPPED in states):
+            bad.add(sid)
+    closure: set[int] = set()
+    for sid in sorted(bad, key=lambda s: rank[s]):
+        closure |= gosn.slave_closure(sid)
+    return _null_supernodes(sn_vars, vmap, closure) if closure else 0
+
+
+def _null_supernodes(sn_vars: dict[int, frozenset[Variable]], vmap, closure: set[int]) -> int:
+    """Null the variables of the ``closure`` supernodes that no supernode
+    outside it shares; returns how many bindings were nulled."""
+    protected: set[Variable] = set()
+    for sid, names in sn_vars.items():
+        if sid not in closure:
+            protected |= names
+    nulled = 0
+    for sid in closure:
+        for v in sn_vars[sid]:
+            if v not in protected and vmap.get(v) is not None:
+                vmap[v] = None
+                nulled += 1
+    return nulled
 
 
 def nullification(
@@ -335,16 +347,10 @@ def nullification(
     gosn: Gosn,
     store: TripleStore,
 ) -> dict[Variable, "Coord | None"]:
-    """Standalone nullification of one completed binding map (the in-join
-    hook uses the same logic via MultiWayJoin)."""
-    join = object.__new__(MultiWayJoin)
-    join.gosn = gosn
-    join.store = store
-    join.nullified_any = False
-    join.stats = JoinStats()
-    join._sn_vars = {sid: gosn.sn_vars(sid) for sid in gosn.supernodes}
+    """Standalone nullification of one completed binding map; the join's
+    row hook runs the same ``_nullify_inconsistent``."""
     out = dict(vmap)
-    MultiWayJoin._nullify_inconsistent(join, out, status)
+    _nullify_inconsistent(gosn, {sid: gosn.sn_vars(sid) for sid in gosn.supernodes}, out, status)
     return out
 
 

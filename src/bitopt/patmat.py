@@ -178,7 +178,7 @@ def select_pattern_matrix(
         return PatternMatrix(tp, tp.o, tp.s, bm)
     if s_var:
         # (?v :p :o) -> predicate row of the P-S slice of :o
-        oid = None if isinstance(tp.o, Variable) else _object_id(d, tp.o)
+        oid = d.object_id(tp.o)
         if pid is None or oid is None:
             return empty(None, tp.s, d.n_s, bitmat.S)
         source = store.bitmat("PS", oid)
@@ -188,7 +188,7 @@ def select_pattern_matrix(
         return PatternMatrix(tp, None, tp.s, bm)
     if o_var:
         # (:s :p ?v) -> predicate row of the P-O slice of :s
-        sid = _subject_id(d, tp.s)
+        sid = d.subject_id(tp.s)
         if pid is None or sid is None:
             return empty(None, tp.o, d.n_o, bitmat.O)
         source = store.bitmat("PO", sid)
@@ -197,11 +197,11 @@ def select_pattern_matrix(
         bm.set_row_bits(1, row)
         return PatternMatrix(tp, None, tp.o, bm)
     # Ground pattern: presence bit.
-    sid = _subject_id(d, tp.s)
-    oid = _object_id(d, tp.o)
+    sid = d.subject_id(tp.s)
+    oid = d.object_id(tp.o)
     bm = BitMat("ROW", 0, bitmat.UNIT, bitmat.UNIT, 1, 1)
     if pid is not None and sid is not None and oid is not None:
-        if (sid, pid, oid) in store.id_triples:
+        if store.bitmat("SO", pid).test(sid, oid):
             bm.set_row_bits(1, 1)
     return PatternMatrix(tp, None, None, bm)
 
@@ -213,14 +213,6 @@ def _so_slice(store: TripleStore, pid: "int | None", kind: str) -> BitMat:
         dims = (d.n_s, d.n_o) if kind == "SO" else (d.n_o, d.n_s)
         return BitMat(kind, 0, spaces[0], spaces[1], max(dims[0], 1), max(dims[1], 1))
     return store.bitmat(kind, pid).copy()
-
-
-def _subject_id(d: Dictionary, term: Term) -> "int | None":
-    return d.subject_id(term)
-
-
-def _object_id(d: Dictionary, term: Term) -> "int | None":
-    return d.object_id(term)
 
 
 def apply_loadtime_conjunct(pm: PatternMatrix, conjunct: Comparison, var: Variable, dictionary: Dictionary) -> None:

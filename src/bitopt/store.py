@@ -1,23 +1,29 @@
-"""Dictionary-encoded triple storage behind the four bit-matrix index families.
+"""Dictionary-encoded triple storage: per-predicate S-O bit matrices.
 
 Terms are mapped to dense integer coordinates. Terms occurring both as
 subject and object get ids 1..n_so shared between the two dimensions;
 subject-only terms continue at n_so+1..n_s, object-only terms independently
 at n_so+1..n_o, predicates live in their own 1..n_p space. The conceptual
-subject x predicate x object bit cube is never materialized; 2D slices
-(S-O and O-S per predicate, P-S per object, P-O per subject) are built on
-first use and cached.
+subject x predicate x object bit cube is never materialized.
+
+The S-O matrix of each predicate is the only copy of the triples, in memory
+and on disk. The other index families are derived from those matrices on
+first use and cached: an O-S slice is the transpose of one S-O matrix, the
+P-O slice of a subject takes that subject's row from every S-O matrix
+(sharing the compressed rows), and the P-S slice of an object tests that
+object's bit in every stored S-O row.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from . import bitmat
-from .bitmat import BitMat, CompressedRow, bitmat_from_cells, row_from_mask
+from .bitmat import BitMat, CompressedRow, bitmat_from_cells, row_from_mask, row_test
 from .ntriples import parse_ntriples
 from .terms import Iri, Literal, Term, term_sort_key
 
@@ -192,37 +198,55 @@ class Dictionary:
             yield idx, P_CLASS, self._pred_terms[idx]
 
 
-KIND_CODES = {"SO": 0, "OS": 1, "PS": 2, "PO": 3}
-KIND_NAMES = {v: k for k, v in KIND_CODES.items()}
+SO_KIND_CODE = 0  # kind word of a stored matrix; only S-O matrices are stored
 
 
 class TripleStore:
-    """Immutable-after-load triple store; any number of concurrent readers."""
+    """Immutable-after-load triple store; any number of concurrent readers.
 
-    def __init__(self, dictionary: Dictionary, id_triples: set[tuple[int, int, int]]):
+    The S-O matrices, cached under ``("SO", predicate id)``, are the only
+    copy of the triples; every other slice is derived from them on demand.
+    """
+
+    def __init__(self, dictionary: Dictionary):
         self.dictionary = dictionary
-        self.id_triples = id_triples  # (subject id, predicate id, object id)
         self._cache: dict[tuple[str, int], BitMat] = {}
 
     @classmethod
     def from_ntriples(cls, source) -> "TripleStore":
         term_triples = list(parse_ntriples(source))
         d = Dictionary.build(term_triples)
-        ids = {
-            (d.subject_id(s), d.predicate_id(p), d.object_id(o))
-            for s, p, o in term_triples
-        }
-        return cls(d, ids)
+        cells: dict[int, list[tuple[int, int]]] = {pid: [] for pid in range(1, d.n_p + 1)}
+        for s, p, o in term_triples:
+            cells[d.predicate_id(p)].append((d.subject_id(s), d.object_id(o)))
+        del term_triples
+        store = cls(d)
+        for pid in range(1, d.n_p + 1):
+            store._cache["SO", pid] = bitmat_from_cells(
+                "SO", pid, bitmat.S, bitmat.O, d.n_s, d.n_o, cells.pop(pid)
+            )
+        return store
+
+    def _so(self, pid: int) -> BitMat:
+        bm = self._cache.get(("SO", pid))
+        if bm is None:
+            raise StoreError(f"no S-O matrix for predicate {pid}")
+        return bm
+
+    def _so_matrices(self) -> Iterator[tuple[int, BitMat]]:
+        for pid in range(1, self.dictionary.n_p + 1):
+            yield pid, self._so(pid)
 
     @property
     def triple_count(self) -> int:
-        return len(self.id_triples)
+        return sum(bm.triple_count for _, bm in self._so_matrices())
 
     def term_triples(self) -> list[tuple[Term, Term, Term]]:
         d = self.dictionary
         out = [
-            (d.subject_term(s), d.predicate_term(p), d.object_term(o))
-            for s, p, o in self.id_triples
+            (d.subject_term(s), d.predicate_term(pid), d.object_term(o))
+            for pid, bm in self._so_matrices()
+            for s, o in bm.cells()
         ]
         out.sort(key=lambda t: tuple(term_sort_key(x) for x in t))
         return out
@@ -230,32 +254,43 @@ class TripleStore:
     # -- index families -------------------------------------------------------
 
     def bitmat(self, kind: str, slice_key: int) -> BitMat:
-        """Materialize (or fetch) the shared index slice. Callers must copy
-        before mutating."""
+        """Fetch a stored S-O matrix or derive (and cache) another slice.
+        Callers must copy before mutating."""
         key = (kind, slice_key)
         cached = self._cache.get(key)
         if cached is not None:
             return cached
         d = self.dictionary
         if kind == "SO":
-            cells = [(s, o) for s, p, o in self.id_triples if p == slice_key]
-            bm = bitmat_from_cells("SO", slice_key, bitmat.S, bitmat.O, d.n_s, d.n_o, cells)
-        elif kind == "OS":
-            bm = bitmat.transpose(self.bitmat("SO", slice_key))
-            bm.kind, bm.slice_key = "OS", slice_key
+            return self._so(slice_key)  # not cached: no such predicate
+        if kind == "OS":
+            bm = bitmat.transpose(self._so(slice_key))
         elif kind == "PS":
-            cells = [(p, s) for s, p, o in self.id_triples if o == slice_key]
+            # Column ``slice_key`` of every S-O matrix, read off the
+            # compressed rows without decoding them. Position rows (nearly
+            # all of them) are tested inline: this loop visits every row.
+            cells = []
+            for pid, so in self._so_matrices():
+                for s, row in so.rows.items():
+                    if row.tag == "pos":
+                        pos = row.payload
+                        if pos[0] <= slice_key <= pos[-1] and pos[bisect_left(pos, slice_key)] == slice_key:
+                            cells.append((pid, s))
+                    elif row_test(row, slice_key):
+                        cells.append((pid, s))
             bm = bitmat_from_cells("PS", slice_key, bitmat.P, bitmat.S, d.n_p, d.n_s, cells)
         elif kind == "PO":
-            cells = [(p, o) for s, p, o in self.id_triples if s == slice_key]
-            bm = bitmat_from_cells("PO", slice_key, bitmat.P, bitmat.O, d.n_p, d.n_o, cells)
+            # Row ``slice_key`` of every S-O matrix; the rows are shared as is.
+            bm = BitMat("PO", slice_key, bitmat.P, bitmat.O, d.n_p, d.n_o)
+            for pid, so in self._so_matrices():
+                row = so.rows.get(slice_key)
+                if row is not None:
+                    bm.rows[pid] = row
+            bm.refresh_meta()
         else:
             raise StoreError(f"unknown BitMat kind {kind!r}")
         self._cache[key] = bm
         return bm
-
-    def materialized(self) -> list[tuple[str, int]]:
-        return sorted(self._cache)
 
     # -- persistence -----------------------------------------------------------
 
@@ -266,8 +301,7 @@ class TripleStore:
             for idx, cls, term in self.dictionary.iter_entries():
                 fh.write(f"{idx}\t{cls}\t{term.n3()}\n")
         names = []
-        for pid in sorted(self.dictionary._pred_terms):
-            bm = self.bitmat("SO", pid)
+        for pid, bm in self._so_matrices():
             name = f"bm_so_{pid}.bin"
             _write_bitmat(os.path.join(directory, name), bm)
             names.append(name)
@@ -277,49 +311,72 @@ class TripleStore:
 
     @classmethod
     def open(cls, directory: str) -> "TripleStore":
+        """Read a saved store. Every malformed or inconsistent file raises
+        StoreError."""
         dict_path = os.path.join(directory, "dict.tsv")
         manifest_path = os.path.join(directory, "manifest.txt")
         if not os.path.isfile(dict_path):
             raise StoreError(f"no store at {directory} (missing dict.tsv)")
-        d = Dictionary()
-        with open(dict_path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                idx_s, tag, rendered = line.split("\t", 2)
-                idx = int(idx_s)
-                term = _parse_rendered_term(rendered)
-                if tag == SO_CLASS:
-                    d._sub_ids[term] = d._obj_ids[term] = idx
-                    d._sub_terms[idx] = d._obj_terms[idx] = term
-                    d.n_so = max(d.n_so, idx)
-                elif tag == S_CLASS:
-                    d._sub_ids[term] = idx
-                    d._sub_terms[idx] = term
-                elif tag == O_CLASS:
-                    d._obj_ids[term] = idx
-                    d._obj_terms[idx] = term
-                elif tag == P_CLASS:
-                    d._pred_ids[term] = idx
-                    d._pred_terms[idx] = term
-                else:
-                    raise StoreError(f"unknown dictionary class {tag!r}")
-        triples: set[tuple[int, int, int]] = set()
-        store = cls(d, triples)
+        store = cls(_read_dictionary(dict_path))
         if os.path.isfile(manifest_path):
-            with open(manifest_path, encoding="utf-8") as fh:
-                names = [ln.strip() for ln in fh if ln.strip()]
+            names = [ln.strip() for ln in _read_lines(manifest_path) if ln.strip()]
         else:
             names = []
         for name in names:
-            bm = _read_bitmat(os.path.join(directory, name))
-            store._cache[(bm.kind, bm.slice_key)] = bm
-            if bm.kind != "SO":
-                continue
-            for s, o in bm.cells():
-                triples.add((s, bm.slice_key, o))
+            path = os.path.join(directory, name)
+            bm = _read_bitmat(path, store.dictionary)
+            if ("SO", bm.slice_key) in store._cache:
+                raise StoreError(f"{path}: second S-O matrix for predicate {bm.slice_key}")
+            store._cache["SO", bm.slice_key] = bm
+        for pid in range(1, store.dictionary.n_p + 1):
+            if ("SO", pid) not in store._cache:
+                raise StoreError(f"{directory}: no S-O matrix for predicate {pid}")
         return store
+
+
+def _read_lines(path: str) -> list[str]:
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read().split("\n")
+        except UnicodeDecodeError as exc:
+            raise StoreError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+
+
+def _read_dictionary(path: str) -> Dictionary:
+    d = Dictionary()
+    for lineno, line in enumerate(_read_lines(path), start=1):
+        if not line:
+            continue
+        try:
+            idx_s, tag, rendered = line.split("\t", 2)
+            idx = int(idx_s)
+            term = _parse_rendered_term(rendered)
+        except ValueError as exc:
+            raise StoreError(f"{path}:{lineno}: malformed entry ({exc})") from None
+        if tag == SO_CLASS:
+            d._sub_ids[term] = d._obj_ids[term] = idx
+            d._sub_terms[idx] = d._obj_terms[idx] = term
+            d.n_so = max(d.n_so, idx)
+        elif tag == S_CLASS:
+            d._sub_ids[term] = idx
+            d._sub_terms[idx] = term
+        elif tag == O_CLASS:
+            d._obj_ids[term] = idx
+            d._obj_terms[idx] = term
+        elif tag == P_CLASS:
+            d._pred_ids[term] = idx
+            d._pred_terms[idx] = term
+        else:
+            raise StoreError(f"{path}:{lineno}: unknown dictionary class {tag!r}")
+    for ids, terms in (
+        (d._sub_ids, d._sub_terms),
+        (d._obj_ids, d._obj_terms),
+        (d._pred_ids, d._pred_terms),
+    ):
+        # Dense 1..n ids, one per term: the matrix dimensions rely on it.
+        if not len(ids) == len(terms) == max(terms, default=0):
+            raise StoreError(f"{path}: ids are not a dense 1..n range of distinct terms")
+    return d
 
 
 def _parse_rendered_term(rendered: str) -> Term:
@@ -336,17 +393,8 @@ def _encode_rowlike(row: CompressedRow) -> list[int]:
     return [tag, len(row.payload), *row.payload]
 
 
-def _decode_rowlike(words: list[int], at: int) -> tuple[CompressedRow, int]:
-    tag, length = words[at], words[at + 1]
-    payload = tuple(words[at + 2 : at + 2 + length])
-    at += 2 + length
-    if tag == 2:
-        return CompressedRow("pos", 0, payload), at
-    return CompressedRow("rle", tag, payload), at
-
-
 def _write_bitmat(path: str, bm: BitMat) -> None:
-    words = [KIND_CODES[bm.kind], bm.slice_key, bm.n_rows, bm.n_cols, bm.triple_count]
+    words = [SO_KIND_CODE, bm.slice_key, bm.n_rows, bm.n_cols, bm.triple_count]
     words += _encode_rowlike(row_from_mask(bm.nonempty_rows.mask, max(bm.n_rows, 1)))
     words += _encode_rowlike(row_from_mask(bm.nonempty_cols.mask, max(bm.n_cols, 1)))
     words.append(len(bm.rows))
@@ -357,29 +405,54 @@ def _write_bitmat(path: str, bm: BitMat) -> None:
         fh.write(struct.pack(f"<{len(words)}I", *words))
 
 
-def _read_bitmat(path: str) -> BitMat:
+def _read_bitmat(path: str, d: Dictionary) -> BitMat:
+    """Decode one S-O matrix file and check it against the dictionary."""
     with open(path, "rb") as fh:
         data = fh.read()
-    words = list(struct.unpack(f"<{len(data) // 4}I", data))
+    try:
+        return _decode_bitmat(data, d)
+    except StoreError as exc:
+        raise StoreError(f"{path}: corrupt S-O matrix ({exc})") from None
+    except IndexError:  # a count word points past the end
+        raise StoreError(f"{path}: truncated S-O matrix") from None
+
+
+def _decode_bitmat(data: bytes, d: Dictionary) -> BitMat:
+    if len(data) % 4 or len(data) < 24:
+        raise StoreError(f"truncated to {len(data)} bytes")
+    words = struct.unpack(f"<{len(data) // 4}I", data)
     kind_code, slice_key, n_rows, n_cols, count = words[:5]
-    kind = KIND_NAMES[kind_code]
-    spaces = {
-        "SO": (bitmat.S, bitmat.O),
-        "OS": (bitmat.O, bitmat.S),
-        "PS": (bitmat.P, bitmat.S),
-        "PO": (bitmat.P, bitmat.O),
-    }[kind]
+    if kind_code != SO_KIND_CODE:
+        raise StoreError(f"kind code {kind_code} is not an S-O matrix")
+    if not 1 <= slice_key <= d.n_p:
+        raise StoreError(f"predicate {slice_key} outside 1..{d.n_p}")
+    if (n_rows, n_cols) != (d.n_s, d.n_o):
+        raise StoreError(f"{n_rows}x{n_cols} matrix, dictionary has {d.n_s}x{d.n_o}")
     at = 5
-    _, at = _decode_rowlike(words, at)  # non-empty row mask; recomputable
-    _, at = _decode_rowlike(words, at)
+    for _ in range(2):  # non-empty row and column masks; recomputable
+        at += 2 + words[at + 1]
     n_stored = words[at]
     at += 1
-    bm = BitMat(kind, slice_key, spaces[0], spaces[1], n_rows, n_cols)
+    bm = BitMat("SO", slice_key, bitmat.S, bitmat.O, n_rows, n_cols)
     for _ in range(n_stored):
-        idx = words[at]
-        row, at = _decode_rowlike(words, at + 1)
+        # One row: index, tag (0/1 run-length start bit, 2 positions),
+        # payload length, payload. Decoded inline: this loop is most of open().
+        idx, tag, length = words[at], words[at + 1], words[at + 2]
+        at += 3
+        payload = words[at : at + length]
+        at += length
+        if tag == 2:
+            row = CompressedRow("pos", 0, payload)
+            fits = length > 0 and 1 <= payload[0] and payload[-1] <= n_cols
+        else:
+            row = CompressedRow("rle", tag, payload)
+            fits = tag < 2 and sum(payload) == n_cols
+        if not (fits and len(payload) == length and 1 <= idx <= n_rows):
+            raise StoreError(f"row {idx} does not fit {n_rows}x{n_cols}")
         bm.rows[idx] = row
+    if at != len(words):
+        raise StoreError(f"{len(words) - at} words after the last row")
     bm.refresh_meta()
     if bm.triple_count != count:
-        raise StoreError(f"{path}: header count {count} != stored bits {bm.triple_count}")
+        raise StoreError(f"header count {count} != stored bits {bm.triple_count}")
     return bm

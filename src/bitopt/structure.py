@@ -46,20 +46,11 @@ class Gosn:
     sn_of_pattern: dict[int, int]  # pattern index -> sid
     masters: dict[int, frozenset[int]] = field(default_factory=dict)  # transitive
 
-    def supernode_of(self, tp: TriplePattern) -> Supernode:
-        return self.supernodes[self.sn_of_pattern[tp.index]]
-
     def is_abs_pattern(self, tp: TriplePattern) -> bool:
         return self.sn_of_pattern[tp.index] == self.abs_id
 
     def direct_slaves(self, sid: int) -> list[int]:
         return sorted(s for m, s in self.uni_edges if m == sid)
-
-    def direct_master(self, sid: int) -> "int | None":
-        for m, s in self.uni_edges:
-            if s == sid:
-                return m
-        return None
 
     def slave_closure(self, sid: int) -> set[int]:
         out = {sid}

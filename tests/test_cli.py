@@ -1,6 +1,8 @@
 """Command-line behavior: load/query flows, flags, exit codes, TSV shape,
 and explain output stability."""
 
+import struct
+
 import pytest
 
 from bitopt.cli import EXIT_IO, EXIT_OK, EXIT_REJECTED, EXIT_UNSUPPORTED, main
@@ -137,3 +139,146 @@ class TestQuery:
         captured = capsys.readouterr()
         assert captured.out.count("UmaThurman") == 1
         assert "distinct.path=bmm-bgp" in captured.err
+
+
+def _set_word(path, index, value):
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<I", blob, 4 * index, value)
+    path.write_bytes(bytes(blob))
+
+
+def _truncate(store_dir):
+    path = store_dir / "bm_so_1.bin"
+    path.write_bytes(path.read_bytes()[:-2])
+
+
+def _truncate_whole_word(store_dir):
+    path = store_dir / "bm_so_2.bin"
+    path.write_bytes(path.read_bytes()[:-4])
+
+
+def _trailing_word(store_dir):
+    path = store_dir / "bm_so_1.bin"
+    path.write_bytes(path.read_bytes() + bytes(4))
+
+
+def _malformed_dict_line(store_dir):
+    path = store_dir / "dict.tsv"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1] = "two\tso\t<http://example.org/x>\n"
+    path.write_text("".join(lines))
+
+
+def _dictionary_not_utf8(store_dir):
+    path = store_dir / "dict.tsv"
+    path.write_bytes(path.read_bytes() + b"9\ts\t<\xff>\n")
+
+
+def _unknown_kind(store_dir):
+    _set_word(store_dir / "bm_so_1.bin", 0, 9)
+
+
+def _non_so_kind(store_dir):
+    _set_word(store_dir / "bm_so_1.bin", 0, 1)  # the O-S kind code
+
+
+def _rows_differ_from_dictionary(store_dir):
+    _set_word(store_dir / "bm_so_1.bin", 2, 99)
+
+
+def _cols_differ_from_dictionary(store_dir):
+    _set_word(store_dir / "bm_so_1.bin", 3, 2)
+
+
+def _slice_key_out_of_range(store_dir):
+    _set_word(store_dir / "bm_so_3.bin", 1, 4)
+
+
+def _slice_key_zero(store_dir):
+    _set_word(store_dir / "bm_so_3.bin", 1, 0)
+
+
+def _slice_key_repeated(store_dir):
+    _set_word(store_dir / "bm_so_3.bin", 1, 1)
+
+
+def _row_past_width(store_dir):
+    path = store_dir / "bm_so_1.bin"
+    words = struct.unpack(f"<{path.stat().st_size // 4}I", path.read_bytes())
+    at = 5
+    for _ in range(2):  # skip the non-empty row and column masks
+        at += 2 + words[at + 1]
+    first_row_len = words[at + 3]  # words: count, row index, tag, length
+    last_word = at + 3 + first_row_len
+    _set_word(path, last_word, words[last_word] + 1000)
+
+
+def _dictionary_ids_not_dense(store_dir):
+    path = store_dir / "dict.tsv"
+    lines = path.read_text().splitlines(keepends=True)
+    at = next(i for i, ln in enumerate(lines) if ln.split("\t")[1] == "s")
+    lines[at] = "99" + lines[at][lines[at].index("\t"):]
+    path.write_text("".join(lines))
+
+
+def _predicate_without_file(store_dir):
+    (store_dir / "bm_so_2.bin").unlink()
+    manifest = store_dir / "manifest.txt"
+    names = [n for n in manifest.read_text().split() if n != "bm_so_2.bin"]
+    manifest.write_text("\n".join(names) + "\n")
+
+
+class TestCorruptStore:
+    """A damaged store exits 2 with one error line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            _truncate,
+            _truncate_whole_word,
+            _trailing_word,
+            _malformed_dict_line,
+            _dictionary_not_utf8,
+            _unknown_kind,
+            _non_so_kind,
+            _rows_differ_from_dictionary,
+            _cols_differ_from_dictionary,
+            _slice_key_out_of_range,
+            _slice_key_zero,
+            _slice_key_repeated,
+            _row_past_width,
+            _dictionary_ids_not_dense,
+            _predicate_without_file,
+        ],
+        ids=lambda f: f.__name__.lstrip("_"),
+    )
+    def test_exits_with_one_error_line(self, tmp_path, store_dir, capsys, damage):
+        damage(store_dir)
+        qpath = write_query(tmp_path, Q1_TEXT)
+        assert main(["query", str(store_dir), qpath]) == EXIT_IO
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+class TestExplainRunsOnce:
+    def test_distinct_explain_evaluates_query_once(self, tmp_path, capsys, monkeypatch):
+        import bitopt.cli
+        import bitopt.distinct
+
+        data = tmp_path / "m.nt"
+        data.write_text(MOVIES_NT)
+        directory = tmp_path / "movies"
+        assert main(["load", str(directory), str(data)]) == EXIT_OK
+        calls = []
+        for module in (bitopt.cli, bitopt.distinct):
+            original = module.run_query
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(args[0])
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, "run_query", counted)
+        qpath = write_query(tmp_path, MOVIE_QUERY, "movies.rq")
+        assert main(["query", str(directory), qpath, "--explain"]) == EXIT_OK
+        assert "distinct.path=" in capsys.readouterr().err
+        assert len(calls) == 1

@@ -1,6 +1,8 @@
 """Dictionary id assignment, loading, index slices, selection rules, and the
 on-disk round trip."""
 
+import random
+
 import pytest
 
 from bitopt import bitmat
@@ -8,7 +10,8 @@ from bitopt.algebra import TriplePattern, Variable
 from bitopt.ntriples import NTriplesError, parse_ntriples
 from bitopt.patmat import UnsupportedByIndexError, select_pattern_matrix
 from bitopt.store import TripleStore
-from bitopt.terms import Iri, Literal
+from bitopt.terms import Iri, Literal, term_sort_key
+from bitopt.workload import GenConfig, random_store_text
 
 from conftest import EX, SEINFELD_NT
 
@@ -148,7 +151,7 @@ class TestPersistence:
         assert (tmp_path / "dict.tsv").exists()
         assert len(names) == 3
         reopened = TripleStore.open(str(tmp_path))
-        assert reopened.id_triples == store.id_triples
+        assert reopened.term_triples() == store.term_triples()
         assert reopened.dictionary.n_so == store.dictionary.n_so
         for pid in (1, 2, 3):
             assert set(reopened.bitmat("SO", pid).cells()) == set(
@@ -166,3 +169,73 @@ class TestPersistence:
 
         with pytest.raises(StoreError):
             TripleStore.open(str(tmp_path))
+
+    def test_every_truncation_rejected(self, tmp_path):
+        from bitopt.store import StoreError
+
+        store = TripleStore.from_ntriples(SEINFELD_NT)
+        names = store.save(str(tmp_path))
+        for name in names:
+            victim = tmp_path / name
+            blob = victim.read_bytes()
+            for cut in range(len(blob)):
+                victim.write_bytes(blob[:cut])
+                with pytest.raises(StoreError):
+                    TripleStore.open(str(tmp_path))
+            victim.write_bytes(blob)
+
+
+def _random_store_text(seed: int) -> str:
+    rng = random.Random(seed)
+    cfg = GenConfig(n_entities=rng.randint(4, 12), max_triples=rng.choice([20, 40, 80]))
+    return random_store_text(rng, cfg)
+
+
+def _check_against_brute_force(store: TripleStore, text: str) -> None:
+    """Every slice, ground bit and count equals a build from the raw triples."""
+    d = store.dictionary
+    terms = set(parse_ntriples(text))
+    ids = {(d.subject_id(s), d.predicate_id(p), d.object_id(o)) for s, p, o in terms}
+    assert store.triple_count == len(ids)
+    assert store.term_triples() == sorted(terms, key=lambda t: tuple(term_sort_key(x) for x in t))
+
+    def check(kind, key, n_rows, n_cols, want):
+        bm = store.bitmat(kind, key)
+        assert (bm.kind, bm.slice_key, bm.n_rows, bm.n_cols) == (kind, key, n_rows, n_cols)
+        assert set(bm.cells()) == want
+        assert bm.triple_count == len(want)
+
+    for pid in range(1, d.n_p + 1):
+        check("SO", pid, d.n_s, d.n_o, {(s, o) for s, p, o in ids if p == pid})
+        check("OS", pid, d.n_o, d.n_s, {(o, s) for s, p, o in ids if p == pid})
+    for oid in range(1, d.n_o + 1):
+        check("PS", oid, d.n_p, d.n_s, {(p, s) for s, p, o in ids if o == oid})
+    for sid in range(1, d.n_s + 1):
+        check("PO", sid, d.n_p, d.n_o, {(p, o) for s, p, o in ids if s == sid})
+    for sid in range(1, d.n_s + 1):
+        for pid in range(1, d.n_p + 1):
+            for oid in range(1, d.n_o + 1):
+                tp = TriplePattern(
+                    1, d.subject_term(sid), d.predicate_term(pid), d.object_term(oid)
+                )
+                assert select_pattern_matrix(store, tp).count == ((sid, pid, oid) in ids)
+
+
+class TestDerivedSlices:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_fresh_and_reopened_match_brute_force(self, seed, tmp_path):
+        text = _random_store_text(seed)
+        store = TripleStore.from_ntriples(text)
+        _check_against_brute_force(store, text)
+        store.save(str(tmp_path))
+        _check_against_brute_force(TripleStore.open(str(tmp_path)), text)
+
+    def test_corpus_has_both_row_encodings(self):
+        # The slice tests above must see run-length rows as well as
+        # position rows, or the run-length bit test goes unchecked.
+        tags = set()
+        for seed in range(20):
+            store = TripleStore.from_ntriples(_random_store_text(seed))
+            for pid in range(1, store.dictionary.n_p + 1):
+                tags |= {row.tag for row in store.bitmat("SO", pid).rows.values()}
+        assert tags == {"pos", "rle"}
