@@ -4,6 +4,10 @@
 Generates seeded stores and well-designed queries, evaluates each with the
 optimized pipeline and the brute-force evaluator, and compares the results
 after minimum-union normalization. Prints counts per structural class.
+Then does the same for DISTINCT queries (a random subset of each query's
+variables): ``distinct_eval`` as dispatched, ``distinct_eval`` forced onto
+the naive path and the brute-force evaluator must all agree after minimum
+union; prints how many queries took each DISTINCT path.
 
 Usage: python scripts/agreement_experiment.py [n_queries] [seed]
 """
@@ -13,20 +17,38 @@ import sys
 import time
 from collections import Counter
 
-from bitopt.executor import best_match, run_query
+from bitopt.algebra import Query
+from bitopt.distinct import distinct_eval
+from bitopt.executor import Relation, best_match, run_query
 from bitopt.oracle import oracle_eval
-from bitopt.executor import Relation
 from bitopt.store import TripleStore
 from bitopt.structure import DisconnectedQueryError
 from bitopt.workload import GenConfig, random_query, random_store_text
 
+DISTINCT_PATHS = ("bmm-bgp", "bmm-bgp-opt", "naive")
 
-def main():
-    total = int(sys.argv[1]) if len(sys.argv) > 1 else 300
-    base_seed = int(sys.argv[2]) if len(sys.argv) > 2 else 0
+
+def minimum_union(relation: Relation) -> frozenset:
+    return frozenset(best_match(relation).rows)
+
+
+def reference(query: Query, store: TripleStore) -> Relation:
+    raw = oracle_eval(query, store.term_triples())
+    return Relation(
+        query.projection,
+        [tuple(r.get(v) for v in query.projection) for r in raw.rows],
+    )
+
+
+def distinct_variant(rng: random.Random, query: Query) -> Query:
+    pool = sorted(query.projection, key=lambda v: v.name)
+    k = rng.randint(1, min(3, len(pool)))
+    return Query(tuple(sorted(rng.sample(pool, k), key=lambda v: v.name)), True, query.root)
+
+
+def engine_run(total: int, base_seed: int) -> Counter:
     cfg = GenConfig(p_optional=0.7, p_union=0.3, p_filter=0.3, p_cycle=0.25)
     stats = Counter()
-    started = time.perf_counter()
     seed = base_seed
     while stats["ran"] < total:
         rng = random.Random(seed)
@@ -44,21 +66,59 @@ def main():
         if result.rule3_used:
             stats["rule3"] += 1
         engine = result.relation.project(query.projection)
-        raw = oracle_eval(query, store.term_triples())
-        reference = Relation(
-            query.projection,
-            [tuple(r.get(v) for v in query.projection) for r in raw.rows],
-        )
-        if frozenset(best_match(engine).rows) == frozenset(best_match(reference).rows):
+        if minimum_union(engine) == minimum_union(reference(query, store)):
             stats["agreed"] += 1
         else:
             stats["MISMATCH"] += 1
             print(f"mismatch at seed {seed - 1}")
-    elapsed = time.perf_counter() - started
-    print(f"{stats['ran']} queries in {elapsed:.1f}s")
+    return stats
+
+
+def distinct_run(total: int, base_seed: int) -> Counter:
+    # Acyclic and mostly union- and filter-free, so every path is exercised.
+    cfg = GenConfig(p_optional=0.5, p_union=0.1, p_filter=0.15, acyclic_only=True, p_peer_join=0.0)
+    stats = Counter()
+    seed = base_seed
+    while stats["ran"] < total:
+        rng = random.Random(seed)
+        seed += 1
+        store = TripleStore.from_ntriples(random_store_text(rng, cfg))
+        query = distinct_variant(rng, random_query(rng, cfg))
+        try:
+            fast = distinct_eval(query, store)
+            naive = distinct_eval(query, store, force_naive=True)
+        except DisconnectedQueryError:
+            stats["rejected-cartesian"] += 1
+            continue
+        stats["ran"] += 1
+        stats[fast.path] += 1
+        expected = minimum_union(reference(query, store))
+        if minimum_union(fast.relation) == expected == minimum_union(naive.relation):
+            stats["agreed"] += 1
+        else:
+            stats["MISMATCH"] += 1
+            print(f"distinct mismatch at seed {seed - 1} path={fast.path}")
+    return stats
+
+
+def report(title: str, stats: Counter, elapsed: float) -> None:
+    print(f"{title}: {stats['ran']} queries in {elapsed:.1f}s")
     for key in sorted(stats):
         print(f"  {key:>20}: {stats[key]}")
-    if stats["MISMATCH"]:
+
+
+def main():
+    total = int(sys.argv[1]) if len(sys.argv) > 1 else 300
+    base_seed = int(sys.argv[2]) if len(sys.argv) > 2 else 0
+    started = time.perf_counter()
+    stats = engine_run(total, base_seed)
+    report("engine", stats, time.perf_counter() - started)
+    started = time.perf_counter()
+    dstats = distinct_run(total, base_seed)
+    for path in DISTINCT_PATHS:
+        dstats.setdefault(path, 0)
+    report("distinct", dstats, time.perf_counter() - started)
+    if stats["MISMATCH"] or dstats["MISMATCH"]:
         sys.exit(1)
 
 

@@ -164,6 +164,33 @@ def row_from_mask(mask: int, width: int) -> CompressedRow:
     return CompressedRow("rle", start_bit, tuple(runs))
 
 
+def row_from_positions(positions: Sequence[int], width: int) -> CompressedRow:
+    """Same row as ``row_from_mask`` for the mask of ``positions`` (strictly
+    increasing, 1-based), built from the runs of consecutive positions
+    without a big-int mask."""
+    if positions and (positions[0] < 1 or positions[-1] > width):
+        raise DimensionMismatchError("position outside the row width")
+    runs = []
+    end = 0  # positions 1..end are covered by ``runs`` and ``ones``
+    ones = 0
+    for pos in positions:
+        if pos > end + 1:
+            if ones:
+                runs.append(ones)
+            runs.append(pos - end - 1)
+            ones = 0
+        ones += 1
+        end = pos
+    if ones:
+        runs.append(ones)
+    if end < width:
+        runs.append(width - end)
+    if len(positions) < len(runs):
+        return CompressedRow("pos", 0, tuple(positions))
+    start_bit = 1 if positions and positions[0] == 1 else 0
+    return CompressedRow("rle", start_bit, tuple(runs))
+
+
 def _iter_mask(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
@@ -302,15 +329,20 @@ def bitmat_from_cells(
     n_cols: int,
     cells: Iterable[tuple[int, int]],
 ) -> BitMat:
-    masks: dict[int, int] = {}
+    positions: dict[int, list[int]] = {}
     for r, c in cells:
         if not (1 <= r <= n_rows and 1 <= c <= n_cols):
             raise DimensionMismatchError(f"cell ({r},{c}) outside {n_rows}x{n_cols}")
-        masks[r] = masks.get(r, 0) | 1 << (c - 1)
+        row = positions.get(r)
+        if row is None:
+            positions[r] = [c]
+        else:
+            row.append(c)
     bm = BitMat(kind, slice_key, row_space, col_space, n_rows, n_cols)
-    for r, m in masks.items():
-        bm.rows[r] = row_from_mask(m, n_cols)
-    bm.refresh_meta()
+    for r, cols in positions.items():
+        cols = sorted(set(cols))
+        bm.rows[r] = row_from_positions(cols, n_cols)
+        bm.triple_count += len(cols)
     return bm
 
 
@@ -343,14 +375,10 @@ def unfold(bm: BitMat, mask: BitArray, retain: str, so_count: int) -> None:
 
 def transpose(bm: BitMat) -> BitMat:
     kind = {"SO": "OS", "OS": "SO"}.get(bm.kind, bm.kind + "T")
-    cols: dict[int, int] = {}
-    for r, c in bm.cells():
-        cols[c] = cols.get(c, 0) | 1 << (r - 1)
-    out = BitMat(kind, bm.slice_key, bm.col_space, bm.row_space, bm.n_cols, bm.n_rows)
-    for c, m in cols.items():
-        out.rows[c] = row_from_mask(m, out.n_cols)
-    out.refresh_meta()
-    return out
+    return bitmat_from_cells(
+        kind, bm.slice_key, bm.col_space, bm.row_space, bm.n_cols, bm.n_rows,
+        ((c, r) for r, c in bm.cells()),
+    )
 
 
 def bmm(left: BitMat, right: BitMat, so_count: int) -> BitMat:

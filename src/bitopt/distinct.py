@@ -4,11 +4,14 @@ On acyclic, pruned, union- and filter-free queries the distinct projection
 is answered from a minimal covering subgraph of the pattern graph: edges
 labeled only by a non-projected variable are contracted by Boolean matrix
 multiplication, which correlates the endpoint bindings directly and drops
-the shared variable. Projections here deduplicate by equality and
-subsumption, matching the minimum-union treatment of optional blocks, so
-the matrix path and the naive evaluate-then-dedup path agree. Every other
-shape (distinct variables confined to optional blocks, cycles, unions,
-filters) uses the naive path.
+the shared variable. The surviving matrices, patterns and products alike,
+then run through the engine's own pipelined join (``MultiWayJoin``), which
+reads each matrix's supernode from its ``sid`` to drive the optional-block
+NULL semantics. Every other shape (distinct variables confined to optional
+blocks, cycles, unions, filters) uses the naive path: project the engine's
+rows. Only the path taken deduplicates, once, by equality and subsumption,
+matching the minimum-union treatment of optional blocks, so the two paths
+agree wherever both apply.
 """
 
 from __future__ import annotations
@@ -17,34 +20,18 @@ from dataclasses import dataclass, field
 
 from .algebra import Filter, Query, Union, Variable, iter_nodes
 from .bitmat import BitMat, bmm, transpose
-from .executor import EngineResult, Relation, RunConfig, best_match, run_query
+from .executor import EngineResult, MultiWayJoin, Relation, RunConfig, best_match, build_stps, run_query
 from .patmat import PatternMatrix
 from .store import TripleStore
 from .structure import Gosn, Got
 
-SKIPPED = "skipped"
-
-
-@dataclass
-class McsNode:
-    """One covering-subgraph node: an original pattern matrix or a product."""
-
-    nid: int
-    matrix: PatternMatrix
-    sid: int
-
-    @property
-    def vars(self) -> frozenset[Variable]:
-        return frozenset(self.matrix.vars())
-
-    @property
-    def label(self) -> str:
-        return self.matrix.label if self.matrix.pattern is not None else f"B{self.nid}"
-
 
 @dataclass
 class Mcs:
-    nodes: dict[int, McsNode]
+    """Covering subgraph: nodes are original pattern matrices (keyed by
+    pattern index) or products (fresh ids, labeled ``B<id>``)."""
+
+    nodes: dict[int, PatternMatrix]
     edges: dict[frozenset[int], frozenset[Variable]]
     distinct_vars: frozenset[Variable]
     history: list[int] = field(default_factory=list)  # node count per step
@@ -60,26 +47,14 @@ class Mcs:
     def edges_at(self, nid: int) -> list[tuple[frozenset[int], frozenset[Variable]]]:
         return [(pair, lab) for pair, lab in self.edges.items() if nid in pair]
 
-    def connected(self) -> bool:
-        ids = sorted(self.nodes)
-        if len(ids) <= 1:
-            return True
-        seen = {ids[0]}
-        frontier = [ids[0]]
-        while frontier:
-            cur = frontier.pop()
-            for pair in self.edges:
-                if cur in pair:
-                    other = next(iter(pair - {cur}))
-                    if other not in seen:
-                        seen.add(other)
-                        frontier.append(other)
-        return set(ids) <= seen
+    def label(self, nid: int) -> str:
+        pm = self.nodes[nid]
+        return pm.label if pm.pattern is not None else f"B{nid}"
 
     def describe(self) -> str:
-        nodes = ",".join(self.nodes[n].label for n in sorted(self.nodes))
+        nodes = ",".join(self.label(n) for n in sorted(self.nodes))
         edges = " ".join(
-            f"{self.nodes[i].label}-{self.nodes[j].label}"
+            f"{self.label(i)}-{self.label(j)}"
             f"{{{','.join(sorted(str(v) for v in lab))}}}"
             for i, j, lab in self.edge_list()
         )
@@ -127,7 +102,7 @@ def carve_mcs(
                     covered |= need & frozenset(matrices[idx].vars())
             if covered != need:
                 return False
-        return _connected_in(got, trial)
+        return got.subgraph(trial).connected()
 
     changed = True
     while changed:
@@ -145,24 +120,9 @@ def carve_mcs(
                 keep = trial
                 changed = True
                 break
-    nodes = {idx: McsNode(idx, matrices[idx], sid_of(idx)) for idx in sorted(keep)}
+    nodes = {idx: matrices[idx] for idx in sorted(keep)}
     edges = {pair: label for pair, label in got.edges.items() if pair <= keep}
     return Mcs(nodes, edges, dvars)
-
-
-def _connected_in(got: Got, keep: set[int]) -> bool:
-    ids = sorted(keep)
-    if not ids:
-        return False
-    seen = {ids[0]}
-    frontier = [ids[0]]
-    while frontier:
-        cur = frontier.pop()
-        for j in ids:
-            if j not in seen and got.label(cur, j):
-                seen.add(j)
-                frontier.append(j)
-    return set(ids) <= seen
 
 
 def _shortest_path(got: Got, a: int, b: int, universe: set[int]) -> list[int]:
@@ -226,7 +186,7 @@ def shrink_mcs(mcs: Mcs, gosn: Gosn, so_count: int) -> Mcs:
     mcs.history.append(len(mcs.nodes))
     rank = {sid: i for i, sid in enumerate(gosn.topo_order())}
 
-    def category(a: McsNode, b: McsNode) -> "int | None":
+    def category(a: PatternMatrix, b: PatternMatrix) -> "int | None":
         if a.sid == b.sid:
             return 0 if a.sid == gosn.abs_id else 2
         if a.sid in gosn.masters.get(b.sid, frozenset()):
@@ -253,7 +213,7 @@ def shrink_mcs(mcs: Mcs, gosn: Gosn, so_count: int) -> Mcs:
             if not variable_confined_to(frozenset((i, j)), shared):
                 continue
             ni, nj = mcs.nodes[i], mcs.nodes[j]
-            if ni.matrix.row_var == ni.matrix.col_var or nj.matrix.row_var == nj.matrix.col_var:
+            if ni.row_var == ni.col_var or nj.row_var == nj.col_var:
                 continue
             cat = category(ni, nj)
             if cat is None:
@@ -270,15 +230,13 @@ def shrink_mcs(mcs: Mcs, gosn: Gosn, so_count: int) -> Mcs:
             i, j = j, i
         (shared,) = tuple(label)
         product = bmm(
-            _with_var_on_cols(ni.matrix, shared),
-            _with_var_on_rows(nj.matrix, shared),
+            _with_var_on_cols(ni, shared),
+            _with_var_on_rows(nj, shared),
             so_count,
         )
-        node = McsNode(
-            next_id,
-            PatternMatrix(None, _other_var(ni.matrix, shared), _other_var(nj.matrix, shared), product, sid=nj.sid),
-            nj.sid,
-        )
+        node = PatternMatrix(None, _other_var(ni, shared), _other_var(nj, shared), product, sid=nj.sid)
+        node_vars = frozenset(node.vars())
+        new_id = next_id
         next_id += 1
         removed = {j} if cat == 1 else {i, j}
 
@@ -291,18 +249,18 @@ def shrink_mcs(mcs: Mcs, gosn: Gosn, so_count: int) -> Mcs:
                 if other not in removed:
                     # Always holds: the eliminated variable is confined to
                     # the contracted edge, so the label lives in the product.
-                    assert lab <= node.vars
-                    inherited[frozenset((node.nid, other))] = lab
+                    assert lab <= node_vars
+                    inherited[frozenset((new_id, other))] = lab
         for pair in [p for p in mcs.edges if p & removed]:
             del mcs.edges[pair]
         for nid in removed:
             del mcs.nodes[nid]
-        mcs.nodes[node.nid] = node
+        mcs.nodes[new_id] = node
         mcs.edges.update(inherited)
         for nid in {i, j} - removed:
-            connector = frozenset(mcs.nodes[nid].vars) & node.vars
+            connector = frozenset(mcs.nodes[nid].vars()) & node_vars
             if connector:
-                new_edge = frozenset((nid, node.nid))
+                new_edge = frozenset((nid, new_id))
                 mcs.edges[new_edge] = connector
                 skipped.add(new_edge)
         mcs.history.append(len(mcs.nodes))
@@ -370,14 +328,13 @@ def distinct_eval(
 ) -> DistinctOutcome:
     """DISTINCT dispatch: matrix-product path for acyclic pruned BGP and
     BGP-OPT queries whose projection reaches the absolute master, naive
-    evaluate-then-dedup otherwise. Both paths end with the subsumption-aware
-    dedup, so they are interchangeable where both apply."""
+    evaluate-then-dedup otherwise. Each path ends with one subsumption-aware
+    dedup of its own rows, so they are interchangeable where both apply."""
     config = config or RunConfig()
     result = run_query(query, store, config)
-    naive_relation = best_match(result.relation.project(query.projection))
     path = None if (force_naive or not config.prune) else _bmm_eligible(query, result)
     if path is None:
-        return DistinctOutcome(naive_relation, "naive", result)
+        return _naive(query, result)
     trace = result.disjuncts[0]
     gosn, got = trace.gosn, trace.got
     dvars = frozenset(query.projection)
@@ -402,8 +359,8 @@ def distinct_eval(
             requirements.setdefault(sid, dvars & gosn.sn_vars(sid))
     mcs = carve_mcs(got, gosn, result.matrices, requirements, universe)
     trace_lines = [f"mcs.carved {mcs.describe()}"]
-    if not mcs.connected():
-        return DistinctOutcome(naive_relation, "naive", result)
+    if not got.subgraph(set(mcs.nodes)).connected():
+        return _naive(query, result)
     mcs = shrink_mcs(mcs, gosn, store.dictionary.n_so)
     trace_lines.extend(f"mcs.step.{i} {snap}" for i, snap in enumerate(mcs.evolution, 1))
     trace_lines.append(f"mcs.shrunk {mcs.describe()}")
@@ -411,14 +368,18 @@ def distinct_eval(
     return DistinctOutcome(relation, path, result, trace_lines)
 
 
+def _naive(query: Query, result: EngineResult) -> DistinctOutcome:
+    return DistinctOutcome(best_match(result.relation.project(query.projection)), "naive", result)
+
+
 def _evaluate_mcs(mcs: Mcs, gosn: Gosn, store: TripleStore, query: Query) -> Relation:
-    """Join the surviving matrices with the pipelined join, project the
-    distinct variables, and dedup with subsumption."""
-    order = _mcs_stps(mcs, gosn)
+    """Run the surviving matrices (patterns and products alike) through the
+    engine's pipelined join, project the distinct variables, and dedup with
+    subsumption."""
+    join = MultiWayJoin(gosn, mcs.nodes, build_stps(gosn, mcs, mcs.nodes), store)
     header = tuple(
-        sorted({v for n in mcs.nodes.values() for v in n.vars}, key=lambda v: v.name)
+        sorted({v for pm in mcs.nodes.values() for v in pm.vars()}, key=lambda v: v.name)
     )
-    join = _McsJoin(gosn, mcs, order, store)
     relation = Relation(header)
     d = store.dictionary
     for vmap in join.run():
@@ -435,79 +396,3 @@ def _evaluate_mcs(mcs: Mcs, gosn: Gosn, store: TripleStore, query: Query) -> Rel
         ]
         projected = Relation(query.projection, rows)
     return best_match(projected)
-
-
-def _mcs_stps(mcs: Mcs, gosn: Gosn) -> list[int]:
-    rank = {sid: i for i, sid in enumerate(gosn.topo_order())}
-    ordered = sorted(
-        mcs.nodes,
-        key=lambda nid: (rank[mcs.nodes[nid].sid], mcs.nodes[nid].matrix.count, nid),
-    )
-    if not ordered:
-        return []
-    stps = [ordered[0]]
-    remaining = ordered[1:]
-    while remaining:
-        for nid in remaining:
-            if any(mcs.edges.get(frozenset((nid, prev))) for prev in stps):
-                stps.append(nid)
-                remaining.remove(nid)
-                break
-        else:
-            raise AssertionError("covering subgraph lost connectivity")
-    return stps
-
-
-class _McsJoin:
-    """Pipelined join over covering-subgraph nodes (original patterns or
-    products); optional-block NULL semantics driven by supernode ids."""
-
-    def __init__(self, gosn: Gosn, mcs: Mcs, order, store):
-        self.gosn = gosn
-        self.mcs = mcs
-        self.order = order
-        self.store = store
-
-    def run(self):
-        yield from self._recurse(0, {}, {})
-
-    def _recurse(self, depth, vmap, status):
-        if depth == len(self.order):
-            yield dict(vmap)
-            return
-        nid = self.order[depth]
-        if status.get(nid) == SKIPPED:
-            yield from self._recurse(depth + 1, vmap, status)
-            return
-        node = self.mcs.nodes[nid]
-        matched = False
-        for binding in node.matrix.bindings(vmap, self.store.dictionary):
-            matched = True
-            added = [v for v in binding if v not in vmap]
-            vmap.update(binding)
-            yield from self._recurse(depth + 1, vmap, status)
-            for v in added:
-                del vmap[v]
-        if matched:
-            return
-        if node.sid == self.gosn.abs_id:
-            return
-        closure = self.gosn.slave_closure(node.sid)
-        to_skip = [
-            j
-            for j in self.order[depth + 1 :]
-            if self.mcs.nodes[j].sid in closure and status.get(j) is None
-        ]
-        nulled = []
-        for j in [nid] + to_skip:
-            for v in self.mcs.nodes[j].vars:
-                if v not in vmap:
-                    vmap[v] = None
-                    nulled.append(v)
-        for j in to_skip:
-            status[j] = SKIPPED
-        yield from self._recurse(depth + 1, vmap, status)
-        for v in nulled:
-            del vmap[v]
-        for j in to_skip:
-            del status[j]

@@ -10,7 +10,7 @@ variable-binding map plus a recursion stack bounded by the pattern count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .algebra import (
     Bgp,
@@ -54,7 +54,6 @@ class RunConfig:
     unsafe_order: bool = False
     nullify: str = "auto"  # auto | on | off
     best_match: str = "auto"  # auto | on | off
-    force_nullify_per_disjunct: bool = False
 
 
 @dataclass
@@ -124,17 +123,15 @@ def best_match(relation: Relation) -> Relation:
 
 
 def build_stps(gosn: Gosn, got: Got, matrices: dict[int, PatternMatrix]) -> list[int]:
-    """tporder: absolute-master patterns ascending by surviving count, then
-    the remaining supernodes in master-slave order with peers ascending by
-    count; stps reorders tporder so every pattern connects to an earlier one."""
+    """tporder: the given matrices by supernode (absolute master first, then
+    master-slave order), peers ascending by surviving count; stps reorders
+    tporder so every matrix shares an edge of ``got`` with an earlier one.
+    ``got`` is any graph whose ``edges`` are keyed by pairs of ``matrices``
+    keys: the pattern graph, or a DISTINCT covering subgraph."""
     sn_rank = {sid: i for i, sid in enumerate(gosn.topo_order())}
     tporder = sorted(
-        (tp.index for sn in gosn.supernodes.values() for tp in sn.patterns),
-        key=lambda idx: (
-            sn_rank[gosn.sn_of_pattern[idx]],
-            matrices[idx].count,
-            idx,
-        ),
+        matrices,
+        key=lambda idx: (sn_rank[matrices[idx].sid], matrices[idx].count, idx),
     )
     if not tporder:
         return []
@@ -142,7 +139,7 @@ def build_stps(gosn: Gosn, got: Got, matrices: dict[int, PatternMatrix]) -> list
     remaining = tporder[1:]
     while remaining:
         for idx in remaining:
-            if any(got.label(idx, prev) for prev in stps):
+            if any(got.edges.get(frozenset((idx, prev))) for prev in stps):
                 stps.append(idx)
                 remaining.remove(idx)
                 break
@@ -169,33 +166,30 @@ class JoinStats:
 class MultiWayJoin:
     """Depth-first enumeration over the stps order.
 
-    The first pattern enumerates its triples; each later pattern enumerates
-    triples consistent with the binding map. A slave pattern with no
-    consistent triple NULL-extends: its whole supernode closure is marked
-    skipped so the optional block fails as a unit. An absolute-master
-    mismatch backtracks. At full depth nullification (when required) and the
-    residual filter conjuncts run before the row is emitted.
+    The first matrix enumerates its triples; each later matrix enumerates
+    triples consistent with the binding map. A matrix is a triple pattern or
+    a DISTINCT product; either way its ``sid`` names its supernode. A slave
+    matrix with no consistent triple NULL-extends: its whole supernode
+    closure is marked skipped so the optional block fails as a unit. An
+    absolute-master mismatch backtracks. At full depth nullification (when
+    required) and the residual filter conjuncts run before the row is
+    emitted.
     """
 
     def __init__(
         self,
         gosn: Gosn,
-        got: Got,
         matrices: dict[int, PatternMatrix],
         stps: list[int],
         store: TripleStore,
-        nulreqd: bool,
-        residual: list[ScopedConjunct],
-        header: tuple[Variable, ...],
+        nulreqd: bool = False,
+        residual: Sequence[ScopedConjunct] = (),
     ):
         self.gosn = gosn
-        self.got = got
-        self.matrices = matrices
         self.stps = stps
         self.store = store
         self.nulreqd = nulreqd
         self.residual = residual
-        self.header = header
         self.by_index = {idx: matrices[idx] for idx in stps}
         self.stats = JoinStats()
         self._var_home: dict[Variable, int] = self._compute_homes()
@@ -248,7 +242,7 @@ class MultiWayJoin:
             del status[idx]
         if matched:
             return
-        if self.gosn.is_abs_pattern(pm.pattern):
+        if pm.sid == self.gosn.abs_id:
             return  # absolute masters cannot take NULL bindings: backtrack
         # Fail the whole optional block: this supernode's unvisited patterns
         # and every transitive slave go NULL together.
@@ -256,8 +250,7 @@ class MultiWayJoin:
         to_skip = [
             j
             for j in self.stps[depth + 1 :]
-            if self.gosn.sn_of_pattern[self.by_index[j].pattern.index] in closure
-            and status.get(j) is None
+            if self.by_index[j].sid in closure and status.get(j) is None
         ]
         nulled = []
         for j in [idx] + to_skip:
@@ -456,10 +449,10 @@ def run_query(query: Query, store: TripleStore, config: "RunConfig | None" = Non
                 "absolute-master patterns form a Cartesian product; only the "
                 "brute-force evaluator supports Cartesian queries"
             )
-        for idx, pm in matrices.items():
-            if idx in gosn.sn_of_pattern:
-                pm.sid = gosn.sn_of_pattern[idx]
-        if config.nullify == "on" or config.force_nullify_per_disjunct:
+        own = {idx: matrices[idx] for idx in gosn.sn_of_pattern}
+        for idx, pm in own.items():
+            pm.sid = gosn.sn_of_pattern[idx]
+        if config.nullify == "on":
             nulreqd = True
         elif config.nullify == "off":
             nulreqd = False
@@ -468,16 +461,14 @@ def run_query(query: Query, store: TripleStore, config: "RunConfig | None" = Non
         if config.unsafe_order:
             stps = sorted(tp.index for tp in node_patterns(norm))
         else:
-            stps = build_stps(gosn, got, matrices)
+            stps = build_stps(gosn, got, own)
         residual = [
             sc
             for sc in collect_scoped_conjuncts(norm)
             if id(sc.conjunct) not in applied_conjuncts
         ]
         dvars = tuple(sorted(node_vars(norm), key=lambda v: v.name))
-        join = MultiWayJoin(
-            gosn, got, matrices, stps, store, nulreqd, residual, dvars
-        )
+        join = MultiWayJoin(gosn, own, stps, store, nulreqd, residual)
         rows = list(join.run())
         any_nullified |= join.nullified_any
         traces.append(
@@ -534,7 +525,3 @@ def serialize_component(node: PatternNode) -> str:
         return text if top else f"({text})"
 
     return walk(node, True)
-
-
-def project_rows(result: EngineResult, query: Query) -> Relation:
-    return result.relation.project(query.projection)

@@ -46,9 +46,6 @@ class Gosn:
     sn_of_pattern: dict[int, int]  # pattern index -> sid
     masters: dict[int, frozenset[int]] = field(default_factory=dict)  # transitive
 
-    def is_abs_pattern(self, tp: TriplePattern) -> bool:
-        return self.sn_of_pattern[tp.index] == self.abs_id
-
     def direct_slaves(self, sid: int) -> list[int]:
         return sorted(s for m, s in self.uni_edges if m == sid)
 

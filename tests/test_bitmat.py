@@ -20,6 +20,7 @@ from bitopt.bitmat import (
     encode_row,
     fold,
     row_from_mask,
+    row_from_positions,
     row_mask,
     row_positions,
     transpose,
@@ -77,6 +78,48 @@ class TestRowEncoding:
         row = row_from_mask(mask, width)
         assert row_mask(row) == mask
         assert list(row_positions(row)) == [i + 1 for i in range(width) if mask >> i & 1]
+
+
+class TestRowFromPositions:
+    """``row_from_positions`` must build exactly the row ``row_from_mask``
+    builds for the same bits."""
+
+    @staticmethod
+    def _check(positions, width):
+        mask = 0
+        for pos in positions:
+            mask |= 1 << (pos - 1)
+        assert row_from_positions(positions, width) == row_from_mask(mask, width)
+
+    def test_random_rows(self):
+        rng = random.Random(7)
+        for _ in range(2000):
+            width = rng.randint(1, 130)
+            density = rng.random()
+            self._check([p for p in range(1, width + 1) if rng.random() < density], width)
+
+    @pytest.mark.parametrize(
+        "positions,width",
+        [
+            ([], 1),
+            ([1], 1),
+            ([], 9),
+            (list(range(1, 10)), 9),
+            ([1], 9),
+            ([9], 9),
+            ([1, 9], 9),
+            ([1, 2, 3, 8, 9], 9),
+            ([2, 3, 4, 5, 6, 7, 8], 9),
+            ([1, 3, 5, 7, 9], 9),
+            ([64, 65], 65),
+        ],
+    )
+    def test_edges(self, positions, width):
+        self._check(positions, width)
+
+    def test_position_past_width_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            row_from_positions([3], 2)
 
 
 def random_bitmat(rng, rows, cols, density=0.3, row_space=bitmat.S, col_space=bitmat.O):

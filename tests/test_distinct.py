@@ -4,6 +4,9 @@ paths."""
 
 import random
 
+import pytest
+
+from bitopt import distinct
 from bitopt.algebra import Query, Variable
 from bitopt.distinct import distinct_eval
 from bitopt.parser import parse
@@ -84,6 +87,34 @@ class TestDispatch:
         out = distinct_eval(q, movie_store)
         assert out.path == "naive"
 
+    @pytest.mark.parametrize(
+        "text,path",
+        [
+            (MOVIE_QUERY, "bmm-bgp"),
+            (
+                "SELECT DISTINCT ?m ?d WHERE { ?m rdf:type :Movie . OPTIONAL { ?m :hasDirector ?d } }",
+                "bmm-bgp-opt",
+            ),
+            (
+                "SELECT DISTINCT ?a WHERE { { ?m :hasActor ?a } UNION { ?m :hasDirector ?a } }",
+                "naive",
+            ),
+        ],
+        ids=["bmm-bgp", "bmm-bgp-opt", "naive"],
+    )
+    def test_only_the_path_taken_deduplicates(self, movie_store, monkeypatch, text, path):
+        calls = []
+        real = distinct.best_match
+
+        def counting(relation):
+            calls.append(len(relation.rows))
+            return real(relation)
+
+        monkeypatch.setattr(distinct, "best_match", counting)
+        out = distinct_eval(parse(text), movie_store)
+        assert out.path == path
+        assert len(calls) == 1
+
 
 class TestContractionSafety:
     def test_chain_correlation_not_cut(self):
@@ -147,6 +178,42 @@ class TestContractionSafety:
         assert not any(
             row[1] is not None and row[2] is not None for row in fast.relation.rows
         )
+
+    def test_unmatched_product_node_null_extends(self):
+        # The optional block T2(v1,v3) T3(v3,v4) contracts over v3 into one
+        # product node; master rows whose v1 reaches no v4 through it (c via
+        # a dead-end z, e with no p2 at all) must come out with v4 NULL.
+        store = TripleStore.from_ntriples(
+            "\n".join(
+                f"<http://example.org/{s}> <http://example.org/{p}> <http://example.org/{o}> ."
+                for s, p, o in [
+                    ("a", "p1", "b"),
+                    ("a", "p1", "c"),
+                    ("d", "p1", "e"),
+                    ("b", "p2", "x"),
+                    ("x", "p3", "y"),
+                    ("c", "p2", "z"),  # z has no p3
+                ]
+            )
+        )
+        q = parse(
+            """
+            SELECT DISTINCT ?v0 ?v1 ?v4 WHERE {
+              ?v0 :p1 ?v1 .
+              OPTIONAL { ?v1 :p2 ?v3 . ?v3 :p3 ?v4 }
+            }
+            """
+        )
+        fast = distinct_eval(q, store)
+        slow = distinct_eval(q, store, force_naive=True)
+        assert fast.path == "bmm-bgp-opt"
+        assert fast.mcs_trace[-1].startswith("mcs.shrunk nodes=[T1,B")
+        assert rows_of(fast.relation) == [
+            ("a", "b", "y"),
+            ("a", "c", "NULL"),
+            ("d", "e", "NULL"),
+        ]
+        assert rows_of(fast.relation) == rows_of(slow.relation)
 
 
 class TestRandomizedAgreement:
