@@ -4,6 +4,10 @@
 Generates seeded stores and well-designed queries, evaluates each with the
 optimized pipeline and the brute-force evaluator, and compares the results
 after minimum-union normalization. Prints counts per structural class.
+Then runs the same queries again in textual join order, unpruned, with
+nullification and best-match forced on (the debug flags ``--no-prune
+--unsafe-order --nullify on --best-match on``), which makes the join turn
+the most matrices, and compares that with the brute-force evaluator too.
 Then does the same for DISTINCT queries (a random subset of each query's
 variables): ``distinct_eval`` as dispatched, ``distinct_eval`` forced onto
 the naive path and the brute-force evaluator must all agree after minimum
@@ -19,13 +23,14 @@ from collections import Counter
 
 from bitopt.algebra import Query
 from bitopt.distinct import distinct_eval
-from bitopt.executor import Relation, best_match, run_query
+from bitopt.executor import Relation, RunConfig, best_match, run_query
 from bitopt.oracle import oracle_eval
 from bitopt.store import TripleStore
 from bitopt.structure import DisconnectedQueryError
 from bitopt.workload import GenConfig, random_query, random_store_text
 
 DISTINCT_PATHS = ("bmm-bgp", "bmm-bgp-opt", "naive")
+TEXTUAL_ORDER = RunConfig(prune=False, unsafe_order=True, nullify="on", best_match="on")
 
 
 def minimum_union(relation: Relation) -> frozenset:
@@ -46,7 +51,7 @@ def distinct_variant(rng: random.Random, query: Query) -> Query:
     return Query(tuple(sorted(rng.sample(pool, k), key=lambda v: v.name)), True, query.root)
 
 
-def engine_run(total: int, base_seed: int) -> Counter:
+def engine_run(total: int, base_seed: int, config: "RunConfig | None" = None) -> Counter:
     cfg = GenConfig(p_optional=0.7, p_union=0.3, p_filter=0.3, p_cycle=0.25)
     stats = Counter()
     seed = base_seed
@@ -56,7 +61,7 @@ def engine_run(total: int, base_seed: int) -> Counter:
         store = TripleStore.from_ntriples(random_store_text(rng, cfg))
         query = random_query(rng, cfg)
         try:
-            result = run_query(query, store)
+            result = run_query(query, store, config)
         except DisconnectedQueryError:
             stats["rejected-cartesian"] += 1
             continue
@@ -70,7 +75,7 @@ def engine_run(total: int, base_seed: int) -> Counter:
             stats["agreed"] += 1
         else:
             stats["MISMATCH"] += 1
-            print(f"mismatch at seed {seed - 1}")
+            print(f"mismatch at seed {seed - 1} config={config}")
     return stats
 
 
@@ -114,11 +119,14 @@ def main():
     stats = engine_run(total, base_seed)
     report("engine", stats, time.perf_counter() - started)
     started = time.perf_counter()
+    tstats = engine_run(total, base_seed, TEXTUAL_ORDER)
+    report("textual order", tstats, time.perf_counter() - started)
+    started = time.perf_counter()
     dstats = distinct_run(total, base_seed)
     for path in DISTINCT_PATHS:
         dstats.setdefault(path, 0)
     report("distinct", dstats, time.perf_counter() - started)
-    if stats["MISMATCH"] or dstats["MISMATCH"]:
+    if stats["MISMATCH"] or tstats["MISMATCH"] or dstats["MISMATCH"]:
         sys.exit(1)
 
 

@@ -78,7 +78,11 @@ def cmd_load(args) -> int:
     except NTriplesError as exc:
         print(f"error: {args.data}: {exc}", file=sys.stderr)
         return EXIT_IO
-    store.save(directory)
+    try:
+        store.save(directory)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
     d = store.dictionary
     print(
         f"{store.triple_count} triples, {d.n_p} predicates, "
@@ -114,7 +118,11 @@ def cmd_query(args) -> int:
         print(f"error: rejected: {exc}", file=sys.stderr)
         return EXIT_REJECTED
 
-    out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
+    try:
+        out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
     try:
         if args.oracle:
             relation = oracle_eval(query, store.term_triples())

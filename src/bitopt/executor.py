@@ -9,6 +9,7 @@ variable-binding map plus a recursion stack bounded by the pattern count.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -27,6 +28,7 @@ from .algebra import (
     node_patterns,
     node_vars,
 )
+from .bitmat import transpose
 from .patmat import PatternMatrix, UnsupportedByIndexError
 from .pruning import PruneContext, PruneSchedule, load_matrices, prune_triples
 from .rewriter import ScopedConjunct, collect_scoped_conjuncts, to_unf, push_filters
@@ -99,22 +101,29 @@ def subsumes(r1: tuple, r2: tuple) -> bool:
 
 
 def best_match(relation: Relation) -> Relation:
-    """Minimum union: drop every row subsumed by a surviving row; exact
-    duplicates collapse. Sort by descending non-null count, then one pass
-    where each row is checked against the already-kept rows."""
-    order = sorted(
-        relation.sorted_rows(),
-        key=lambda row: -sum(1 for t in row if t is not None),
-    )
+    """Minimum union: drop every row that another row subsumes; exact
+    duplicates collapse. Only a row whose NULL positions are a strict subset
+    of a row's own, and that agrees with it on every cell it binds, can
+    subsume it. So the distinct rows are grouped by NULL pattern, and a row
+    is dropped when its projection onto its bound positions is a projection
+    of some row of a strictly wider group. Subsumption is transitive, so
+    being subsumed by any row is the same as being subsumed by a kept one."""
+    groups: dict[frozenset[int], list[tuple]] = defaultdict(list)
+    for row in set(relation.rows):
+        groups[frozenset(i for i, t in enumerate(row) if t is None)].append(row)
     kept: list[tuple] = []
-    seen: set[tuple] = set()
-    for row in order:
-        if row in seen:
+    for nulls, group in groups.items():
+        if not nulls:
+            kept.extend(group)
             continue
-        if any(subsumes(row, other) for other in kept):
-            continue
-        seen.add(row)
-        kept.append(row)
+        bound = [i for i in range(len(group[0])) if i not in nulls]
+        covered = {
+            tuple(row[i] for i in bound)
+            for wider, rows in groups.items()
+            if wider < nulls
+            for row in rows
+        }
+        kept.extend(row for row in group if tuple(row[i] for i in bound) not in covered)
     return Relation(relation.header, Relation(relation.header, kept).sorted_rows())
 
 
@@ -155,6 +164,22 @@ def build_stps(gosn: Gosn, got: Got, matrices: dict[int, PatternMatrix]) -> list
 # Multi-way pipelined join
 
 
+def _oriented(matrices: dict[int, PatternMatrix], stps: list[int]) -> dict[int, PatternMatrix]:
+    """The ``stps`` matrices, each two-variable one turned so that the
+    variable an earlier matrix binds sits on its rows: a probe then reads one
+    row and never scans every row for one column. A turned matrix is a
+    transposed copy owned by the join; ``matrices`` is left as it is."""
+    bound: set[Variable] = set()
+    out: dict[int, PatternMatrix] = {}
+    for idx in stps:
+        pm = matrices[idx]
+        if pm.row_var is not None and pm.col_var in bound and pm.row_var not in bound:
+            pm = PatternMatrix(pm.pattern, pm.col_var, pm.row_var, transpose(pm.bm), pm.sid)
+        bound.update(pm.vars())
+        out[idx] = pm
+    return out
+
+
 @dataclass
 class JoinStats:
     max_vmap_cells: int = 0
@@ -167,7 +192,8 @@ class MultiWayJoin:
     """Depth-first enumeration over the stps order.
 
     The first matrix enumerates its triples; each later matrix enumerates
-    triples consistent with the binding map. A matrix is a triple pattern or
+    triples consistent with the binding map, read from the row of the
+    variable bound first (see ``_oriented``). A matrix is a triple pattern or
     a DISTINCT product; either way its ``sid`` names its supernode. A slave
     matrix with no consistent triple NULL-extends: its whole supernode
     closure is marked skipped so the optional block fails as a unit. An
@@ -189,13 +215,20 @@ class MultiWayJoin:
         self.stps = stps
         self.store = store
         self.nulreqd = nulreqd
-        self.residual = residual
-        self.by_index = {idx: matrices[idx] for idx in stps}
+        self.by_index = _oriented(matrices, stps)
         self.stats = JoinStats()
-        self._var_home: dict[Variable, int] = self._compute_homes()
         self._sn_vars = {
             sid: gosn.sn_vars(sid) for sid in gosn.supernodes
         }
+        # Per residual conjunct, the slave closures its failure nulls; none
+        # means it reads master bindings only and its failure drops the row.
+        homes = self._compute_homes()
+        self._residual: list[tuple] = []
+        for sc in residual:
+            slave_homes = sorted(
+                {homes[v] for v in sc.vars if homes.get(v, gosn.abs_id) != gosn.abs_id}
+            )
+            self._residual.append((sc.conjunct, [gosn.slave_closure(sid) for sid in slave_homes]))
 
     def _compute_homes(self) -> dict[Variable, int]:
         rank = {sid: i for i, sid in enumerate(self.gosn.topo_order())}
@@ -275,28 +308,19 @@ class MultiWayJoin:
             self.stats.nullified_rows += _nullify_inconsistent(
                 self.gosn, self._sn_vars, vmap, status
             )
-        for sc in self.residual:
+        for conjunct, closures in self._residual:
             verdict = eval_filter(
-                sc.conjunct,
+                conjunct,
                 lambda v: None
                 if vmap.get(v) is None
                 else self.store.dictionary.term_of(vmap[v]),
             )
             if verdict is True:
                 continue
-            slave_homes = sorted(
-                {
-                    self._var_home[v]
-                    for v in sc.vars
-                    if self._var_home.get(v, self.gosn.abs_id) != self.gosn.abs_id
-                }
-            )
-            if not slave_homes:
+            if not closures:
                 return None  # filter over master bindings only: drop the row
-            for sid in slave_homes:
-                self.stats.nullified_rows += _null_supernodes(
-                    self._sn_vars, vmap, self.gosn.slave_closure(sid)
-                )
+            for closure in closures:
+                self.stats.nullified_rows += _null_supernodes(self._sn_vars, vmap, closure)
         return vmap
 
 
@@ -304,7 +328,6 @@ def _nullify_inconsistent(gosn: Gosn, sn_vars: dict[int, frozenset[Variable]], v
     """Null every slave supernode where some pattern bound a triple while
     a peer failed, plus the transitive slaves of anything nulled. Returns
     the number of bindings nulled."""
-    rank = {sid: i for i, sid in enumerate(gosn.topo_order())}
     bad: set[int] = set()
     for sid, sn in gosn.supernodes.items():
         if sid == gosn.abs_id:
@@ -313,7 +336,7 @@ def _nullify_inconsistent(gosn: Gosn, sn_vars: dict[int, frozenset[Variable]], v
         if BOUND in states and (FAILED in states or SKIPPED in states):
             bad.add(sid)
     closure: set[int] = set()
-    for sid in sorted(bad, key=lambda s: rank[s]):
+    for sid in bad:
         closure |= gosn.slave_closure(sid)
     return _null_supernodes(sn_vars, vmap, closure) if closure else 0
 

@@ -72,7 +72,9 @@ class PatternMatrix:
 
     def bindings(self, bound: dict[Variable, "Coord | None"], dictionary: Dictionary) -> Iterator[dict[Variable, Coord]]:
         """Enumerate extensions consistent with ``bound``. A NULL value for
-        one of this pattern's variables matches nothing."""
+        one of this pattern's variables matches nothing. A column variable
+        bound to a term needs the row variable bound too: the join orients
+        each matrix so the variable it binds first sits on the rows."""
         n_so = dictionary.n_so
         rv, cv = self.row_var, self.col_var
         diagonal = rv is not None and rv == cv
@@ -105,12 +107,6 @@ class PatternMatrix:
                 pos = low.bit_length()
                 mask ^= low
                 yield {cv: dictionary.canon(self.bm.col_space, pos)}
-            return
-        if c is not None:
-            col_bit = 1 << (c - 1)
-            for ridx in sorted(self.bm.rows):
-                if self.bm.row_bits(ridx) & col_bit:
-                    yield {rv: dictionary.canon(self.bm.row_space, ridx)}
             return
         for ridx in sorted(self.bm.rows):
             row_coord = dictionary.canon(self.bm.row_space, ridx)

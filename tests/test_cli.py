@@ -46,6 +46,15 @@ class TestLoad:
         bad.write_text("this is not a triple\n")
         assert main(["load", str(tmp_path / "s"), str(bad)]) == EXIT_IO
 
+    def test_store_path_is_a_file(self, tmp_path, capsys):
+        data = tmp_path / "d.nt"
+        data.write_text(SEINFELD_NT)
+        target = tmp_path / "taken"
+        target.write_text("")
+        assert main(["load", str(target), str(data)]) == EXIT_IO
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+
 
 class TestQuery:
     def test_q1_tsv(self, tmp_path, store_dir, capsys):
@@ -127,6 +136,13 @@ class TestQuery:
         target = tmp_path / "out.tsv"
         assert main(["query", str(store_dir), qpath, "-o", str(target)]) == EXIT_OK
         assert target.read_text().startswith("?friend\t?sitcom\n")
+
+    def test_output_directory_missing(self, tmp_path, store_dir, capsys):
+        qpath = write_query(tmp_path, Q1_TEXT)
+        target = tmp_path / "missing" / "out.tsv"
+        assert main(["query", str(store_dir), qpath, "-o", str(target)]) == EXIT_IO
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
 
     def test_distinct_query_via_cli(self, tmp_path, capsys):
         data = tmp_path / "m.nt"

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bitopt.algebra import Variable, coalesce_bgps
+from bitopt.algebra import Query, Variable, coalesce_bgps
+from bitopt.distinct import distinct_eval
 from bitopt.executor import (
+    MultiWayJoin,
     Relation,
     RunConfig,
     best_match,
@@ -17,6 +19,7 @@ from bitopt.executor import (
     subsumes,
 )
 from bitopt.parser import parse
+from bitopt.patmat import PatternMatrix
 from bitopt.pruning import PruneContext, load_matrices, prune_triples
 from bitopt.store import TripleStore
 from bitopt.structure import (
@@ -213,6 +216,20 @@ class TestSubsumption:
             if not any(subsumes(row, other) for other in rows if other != row):
                 assert row in kept
 
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda width: st.lists(
+                st.tuples(*[st.sampled_from([None] + [Iri(f"{EX}e{i}") for i in range(3)])] * width),
+                max_size=80,
+            ).map(lambda rows: Relation(tuple(f"v{i}" for i in range(width)), rows))
+        )
+    )
+    @settings(max_examples=300)
+    def test_best_match_is_the_brute_force_antichain(self, rel):
+        unique = set(rel.rows)
+        antichain = [r for r in unique if not any(subsumes(r, other) for other in unique)]
+        assert best_match(rel).rows == Relation(rel.header, antichain).sorted_rows()
+
 
 class TestStandaloneNullification:
     def test_nulls_mixed_supernode_and_closure(self, exception2_store):
@@ -301,3 +318,64 @@ class TestOracleEquivalence:
             ran += 1
             assert normalized(engine) == normalized(oracle_relation(q, store)), f"seed {seed}"
         assert ran >= 40
+
+
+class TestJoinOrientation:
+    """The join turns a matrix whose column variable an earlier matrix binds,
+    so no probe binds the column alone, and it leaves the loaded matrices
+    (``EngineResult.matrices``) as they were."""
+
+    CONFIGS = [
+        RunConfig(),
+        RunConfig(prune=False, unsafe_order=True, nullify="on", best_match="on"),
+    ]
+
+    def test_no_column_only_probe_and_loaded_matrices_unchanged(self, monkeypatch):
+        loaded: dict[int, tuple] = {}  # id of a matrix given to a join -> (row_var, col_var)
+        column_only: list[str] = []
+        turned_probes = 0
+        original_init = MultiWayJoin.__init__
+        original_bindings = PatternMatrix.bindings
+
+        def init(join, gosn, matrices, *args, **kwargs):
+            for pm in matrices.values():
+                loaded[id(pm)] = (pm.row_var, pm.col_var)
+            original_init(join, gosn, matrices, *args, **kwargs)
+
+        def bindings(pm, bound, dictionary):
+            nonlocal turned_probes
+            if pm.row_var is not None and pm.col_var in bound and pm.row_var not in bound:
+                column_only.append(pm.label)
+            turned_probes += id(pm) not in loaded
+            return original_bindings(pm, bound, dictionary)
+
+        monkeypatch.setattr(MultiWayJoin, "__init__", init)
+        monkeypatch.setattr(PatternMatrix, "bindings", bindings)
+
+        def check(result):
+            for pm in result.matrices.values():
+                assert loaded[id(pm)] == (pm.row_var, pm.col_var), pm.label
+
+        cfg = GenConfig(p_optional=0.6, p_union=0.3, p_filter=0.3, p_cycle=0.25)
+        dcfg = GenConfig(p_optional=0.5, acyclic_only=True, p_peer_join=0.0)
+        ran = 0
+        for seed in range(60):
+            for gen, distinct in ((cfg, False), (dcfg, True)):
+                rng = random.Random(seed)
+                store = TripleStore.from_ntriples(random_store_text(rng, gen))
+                q = random_query(rng, gen)
+                if distinct:
+                    pool = sorted(q.projection, key=lambda v: v.name)
+                    picked = rng.sample(pool, rng.randint(1, min(3, len(pool))))
+                    q = Query(tuple(sorted(picked, key=lambda v: v.name)), True, q.root)
+                for config in self.CONFIGS:
+                    loaded.clear()
+                    try:
+                        result = distinct_eval(q, store, config).result if distinct else run_query(q, store, config)
+                    except DisconnectedQueryError:
+                        continue
+                    ran += 1
+                    check(result)
+        assert ran >= 160
+        assert not column_only, column_only
+        assert turned_probes > 0
