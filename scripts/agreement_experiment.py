@@ -11,13 +11,17 @@ the most matrices, and compares that with the brute-force evaluator too.
 Then does the same for DISTINCT queries (a random subset of each query's
 variables): ``distinct_eval`` as dispatched, ``distinct_eval`` forced onto
 the naive path and the brute-force evaluator must all agree after minimum
-union; prints how many queries took each DISTINCT path.
+union; prints how many queries took each DISTINCT path. Finally saves each
+random store, reopens it (so every matrix is decoded on its predicate's
+first use) and compares the engine on the reopened store with the
+brute-force evaluator on the store as built.
 
 Usage: python scripts/agreement_experiment.py [n_queries] [seed]
 """
 
 import random
 import sys
+import tempfile
 import time
 from collections import Counter
 
@@ -51,7 +55,15 @@ def distinct_variant(rng: random.Random, query: Query) -> Query:
     return Query(tuple(sorted(rng.sample(pool, k), key=lambda v: v.name)), True, query.root)
 
 
-def engine_run(total: int, base_seed: int, config: "RunConfig | None" = None) -> Counter:
+def reopened(store: TripleStore, directory: str) -> TripleStore:
+    store.save(directory)
+    return TripleStore.open(directory)
+
+
+def engine_run(
+    total: int, base_seed: int, config: "RunConfig | None" = None, workdir: "str | None" = None
+) -> Counter:
+    """With ``workdir``, the engine runs on the store saved there and reopened."""
     cfg = GenConfig(p_optional=0.7, p_union=0.3, p_filter=0.3, p_cycle=0.25)
     stats = Counter()
     seed = base_seed
@@ -60,8 +72,9 @@ def engine_run(total: int, base_seed: int, config: "RunConfig | None" = None) ->
         seed += 1
         store = TripleStore.from_ntriples(random_store_text(rng, cfg))
         query = random_query(rng, cfg)
+        engine_store = store if workdir is None else reopened(store, workdir)
         try:
-            result = run_query(query, store, config)
+            result = run_query(query, engine_store, config)
         except DisconnectedQueryError:
             stats["rejected-cartesian"] += 1
             continue
@@ -75,7 +88,7 @@ def engine_run(total: int, base_seed: int, config: "RunConfig | None" = None) ->
             stats["agreed"] += 1
         else:
             stats["MISMATCH"] += 1
-            print(f"mismatch at seed {seed - 1} config={config}")
+            print(f"mismatch at seed {seed - 1} config={config} reopened={workdir is not None}")
     return stats
 
 
@@ -126,7 +139,11 @@ def main():
     for path in DISTINCT_PATHS:
         dstats.setdefault(path, 0)
     report("distinct", dstats, time.perf_counter() - started)
-    if stats["MISMATCH"] or tstats["MISMATCH"] or dstats["MISMATCH"]:
+    started = time.perf_counter()
+    with tempfile.TemporaryDirectory() as workdir:
+        rstats = engine_run(total, base_seed, workdir=workdir)
+    report("reopened store", rstats, time.perf_counter() - started)
+    if any(s["MISMATCH"] for s in (stats, tstats, dstats, rstats)):
         sys.exit(1)
 
 

@@ -254,13 +254,14 @@ def intersect_arrays(a: BitArray, b: BitArray, so_count: int) -> BitArray:
 
 @dataclass
 class BitMat:
-    """2D bit matrix over one predicate (S-O/O-S) or one S/O slice (P-O/P-S).
+    """2D bit matrix over one predicate (S-O/O-S) or derived from one (a
+    single row or column, a product, a per-query working copy).
 
     ``rows`` holds only non-empty rows. Metadata (triple count, non-empty
     row/column masks) is kept in sync by every mutating operation.
     """
 
-    kind: str  # "SO" | "OS" | "PS" | "PO" | derived tags ("ROW", "BMM", ...)
+    kind: str  # "SO" | "OS" | derived tags ("ROW", "BMM", ...)
     slice_key: int
     row_space: str
     col_space: str
@@ -374,11 +375,23 @@ def unfold(bm: BitMat, mask: BitArray, retain: str, so_count: int) -> None:
 
 
 def transpose(bm: BitMat) -> BitMat:
+    """The rows are read in ascending order, so each column's list of row
+    indexes comes out sorted and distinct, ready to encode."""
     kind = {"SO": "OS", "OS": "SO"}.get(bm.kind, bm.kind + "T")
-    return bitmat_from_cells(
-        kind, bm.slice_key, bm.col_space, bm.row_space, bm.n_cols, bm.n_rows,
-        ((c, r) for r, c in bm.cells()),
-    )
+    cols: dict[int, list[int]] = {}
+    for r in sorted(bm.rows):
+        row = bm.rows[r]
+        for c in row.payload if row.tag == "pos" else row_positions(row):
+            col = cols.get(c)
+            if col is None:
+                cols[c] = [r]
+            else:
+                col.append(r)
+    out = BitMat(kind, bm.slice_key, bm.col_space, bm.row_space, bm.n_cols, bm.n_rows)
+    for c, rows in cols.items():
+        out.rows[c] = row_from_positions(rows, bm.n_rows)
+    out.triple_count = bm.triple_count
+    return out
 
 
 def bmm(left: BitMat, right: BitMat, so_count: int) -> BitMat:

@@ -170,7 +170,9 @@ def cmd_query(args) -> int:
     except QueryRejectedError as exc:
         print(f"error: rejected: {exc}", file=sys.stderr)
         return EXIT_REJECTED
-    except OracleCapacityError as exc:
+    except (OracleCapacityError, StoreError) as exc:
+        # A matrix file is decoded on its predicate's first use, so a store
+        # fault can surface here, after open().
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     finally:

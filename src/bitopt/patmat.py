@@ -139,10 +139,10 @@ def select_pattern_matrix(
 ) -> PatternMatrix:
     """Load the working matrix for a pattern.
 
-    Two fixed positions load one row of the P-S (fixed object) or P-O (fixed
-    subject) family; a fixed predicate with two variables loads the S-O or
-    O-S slice, oriented so the variable that joins first sits on the row
-    dimension.
+    Every pattern reads the S-O matrix of its predicate only. A fixed
+    subject loads that subject's row, a fixed object that object's column
+    (as a one-row matrix); two variables load the S-O or O-S slice, oriented
+    so the variable that joins first sits on the row dimension.
     """
     d = store.dictionary
     if isinstance(tp.p, Variable):
@@ -173,25 +173,17 @@ def select_pattern_matrix(
             return PatternMatrix(tp, tp.s, tp.o, bm)
         return PatternMatrix(tp, tp.o, tp.s, bm)
     if s_var:
-        # (?v :p :o) -> predicate row of the P-S slice of :o
+        # (?v :p :o) -> column :o of S-O(:p)
         oid = d.object_id(tp.o)
         if pid is None or oid is None:
             return empty(None, tp.s, d.n_s, bitmat.S)
-        source = store.bitmat("PS", oid)
-        row = source.row_bits(pid)
-        bm = BitMat("ROW", oid, bitmat.UNIT, bitmat.S, 1, d.n_s)
-        bm.set_row_bits(1, row)
-        return PatternMatrix(tp, None, tp.s, bm)
+        return PatternMatrix(tp, None, tp.s, store.bitmat("SO_COL", (pid, oid)).copy())
     if o_var:
-        # (:s :p ?v) -> predicate row of the P-O slice of :s
+        # (:s :p ?v) -> row :s of S-O(:p)
         sid = d.subject_id(tp.s)
         if pid is None or sid is None:
             return empty(None, tp.o, d.n_o, bitmat.O)
-        source = store.bitmat("PO", sid)
-        row = source.row_bits(pid)
-        bm = BitMat("ROW", sid, bitmat.UNIT, bitmat.O, 1, d.n_o)
-        bm.set_row_bits(1, row)
-        return PatternMatrix(tp, None, tp.o, bm)
+        return PatternMatrix(tp, None, tp.o, store.bitmat("SO_ROW", (pid, sid)).copy())
     # Ground pattern: presence bit.
     sid = d.subject_id(tp.s)
     oid = d.object_id(tp.o)

@@ -7,23 +7,31 @@ at n_so+1..n_o, predicates live in their own 1..n_p space. The conceptual
 subject x predicate x object bit cube is never materialized.
 
 The S-O matrix of each predicate is the only copy of the triples, in memory
-and on disk. The other index families are derived from those matrices on
-first use and cached: an O-S slice is the transpose of one S-O matrix, the
-P-O slice of a subject takes that subject's row from every S-O matrix
-(sharing the compressed rows), and the P-S slice of an object tests that
-object's bit in every stored S-O row.
+and on disk. Everything else is derived from one of those matrices on first
+use and cached: an O-S slice is the transpose of one S-O matrix, the row
+read of a pattern with a constant subject, ``(:s :p ?o)``, shares row s of
+S-O(p), and the column read of a pattern with a constant object,
+``(?s :p :o)``, tests bit o in every stored row of S-O(p).
+
+A saved store is a directory holding ``dict.tsv``, one ``bm_so_<pid>.bin``
+per predicate and ``manifest.txt``: a format-version line, then one line per
+matrix file with its byte size and CRC-32. ``TripleStore.open`` checks every
+file's size, checksum and header against the manifest and the dictionary
+but decodes no rows; a predicate's matrix is decoded, fully checked, on its
+first use.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+import zlib
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from . import bitmat
-from .bitmat import BitMat, CompressedRow, bitmat_from_cells, row_from_mask, row_test
+from .bitmat import BitMat, CompressedRow, bitmat_from_cells, row_from_mask, row_from_positions, row_test
 from .ntriples import parse_ntriples
 from .terms import Iri, Literal, Term, term_sort_key
 
@@ -199,6 +207,7 @@ class Dictionary:
 
 
 SO_KIND_CODE = 0  # kind word of a stored matrix; only S-O matrices are stored
+MANIFEST_VERSION = "bitopt-store-format 2"  # first line of manifest.txt
 
 
 class TripleStore:
@@ -206,11 +215,14 @@ class TripleStore:
 
     The S-O matrices, cached under ``("SO", predicate id)``, are the only
     copy of the triples; every other slice is derived from them on demand.
+    A store read by ``open`` decodes each S-O matrix on its first use.
     """
 
     def __init__(self, dictionary: Dictionary):
         self.dictionary = dictionary
-        self._cache: dict[tuple[str, int], BitMat] = {}
+        self._cache: dict[tuple[str, object], BitMat] = {}
+        # Predicate id -> (path, byte size, CRC-32) of its matrix file.
+        self._files: dict[int, tuple[str, int, int]] = {}
 
     @classmethod
     def from_ntriples(cls, source) -> "TripleStore":
@@ -227,15 +239,9 @@ class TripleStore:
             )
         return store
 
-    def _so(self, pid: int) -> BitMat:
-        bm = self._cache.get(("SO", pid))
-        if bm is None:
-            raise StoreError(f"no S-O matrix for predicate {pid}")
-        return bm
-
     def _so_matrices(self) -> Iterator[tuple[int, BitMat]]:
         for pid in range(1, self.dictionary.n_p + 1):
-            yield pid, self._so(pid)
+            yield pid, self.bitmat("SO", pid)
 
     @property
     def triple_count(self) -> int:
@@ -253,8 +259,15 @@ class TripleStore:
 
     # -- index families -------------------------------------------------------
 
-    def bitmat(self, kind: str, slice_key: int) -> BitMat:
-        """Fetch a stored S-O matrix or derive (and cache) another slice.
+    def bitmat(self, kind: str, slice_key: "int | tuple[int, int]") -> BitMat:
+        """Fetch (decoding it on first use) a stored S-O matrix, or derive
+        and cache a slice of one:
+
+        * ``("SO", pid)`` and ``("OS", pid)``: S-O(pid) and its transpose;
+        * ``("SO_ROW", (pid, sid))``: row sid of S-O(pid), a 1 x n_o matrix;
+        * ``("SO_COL", (pid, oid))``: column oid of S-O(pid), as a 1 x n_s
+          matrix.
+
         Callers must copy before mutating."""
         key = (kind, slice_key)
         cached = self._cache.get(key)
@@ -262,31 +275,36 @@ class TripleStore:
             return cached
         d = self.dictionary
         if kind == "SO":
-            return self._so(slice_key)  # not cached: no such predicate
-        if kind == "OS":
-            bm = bitmat.transpose(self._so(slice_key))
-        elif kind == "PS":
-            # Column ``slice_key`` of every S-O matrix, read off the
-            # compressed rows without decoding them. Position rows (nearly
-            # all of them) are tested inline: this loop visits every row.
-            cells = []
-            for pid, so in self._so_matrices():
-                for s, row in so.rows.items():
-                    if row.tag == "pos":
-                        pos = row.payload
-                        if pos[0] <= slice_key <= pos[-1] and pos[bisect_left(pos, slice_key)] == slice_key:
-                            cells.append((pid, s))
-                    elif row_test(row, slice_key):
-                        cells.append((pid, s))
-            bm = bitmat_from_cells("PS", slice_key, bitmat.P, bitmat.S, d.n_p, d.n_s, cells)
-        elif kind == "PO":
-            # Row ``slice_key`` of every S-O matrix; the rows are shared as is.
-            bm = BitMat("PO", slice_key, bitmat.P, bitmat.O, d.n_p, d.n_o)
-            for pid, so in self._so_matrices():
-                row = so.rows.get(slice_key)
-                if row is not None:
-                    bm.rows[pid] = row
-            bm.refresh_meta()
+            entry = self._files.get(slice_key)
+            if entry is None:
+                raise StoreError(f"no S-O matrix for predicate {slice_key}")
+            bm = _read_bitmat(entry, d)
+        elif kind == "OS":
+            bm = bitmat.transpose(self.bitmat("SO", slice_key))
+        elif kind == "SO_ROW":
+            pid, sid = slice_key
+            row = self.bitmat("SO", pid).rows.get(sid)
+            bm = BitMat("ROW", sid, bitmat.UNIT, bitmat.O, 1, d.n_o)
+            if row is not None:
+                bm.rows[1] = row  # shared as is: rows are immutable
+                bm.refresh_meta()
+        elif kind == "SO_COL":
+            # Position rows (nearly all of them) are tested inline: this
+            # loop visits every stored row of the matrix.
+            pid, oid = slice_key
+            hits = []
+            for s, row in self.bitmat("SO", pid).rows.items():
+                if row.tag == "pos":
+                    pos = row.payload
+                    if pos[0] <= oid <= pos[-1] and pos[bisect_left(pos, oid)] == oid:
+                        hits.append(s)
+                elif row_test(row, oid):
+                    hits.append(s)
+            bm = BitMat("ROW", oid, bitmat.UNIT, bitmat.S, 1, d.n_s)
+            if hits:
+                hits.sort()
+                bm.rows[1] = row_from_positions(hits, d.n_s)
+                bm.triple_count = len(hits)
         else:
             raise StoreError(f"unknown BitMat kind {kind!r}")
         self._cache[key] = bm
@@ -295,41 +313,49 @@ class TripleStore:
     # -- persistence -----------------------------------------------------------
 
     def save(self, directory: str) -> list[str]:
-        """Write dict.tsv plus one file per S-O BitMat; returns file names."""
+        """Write dict.tsv, one file per S-O BitMat and the manifest; returns
+        the matrix file names."""
         os.makedirs(directory, exist_ok=True)
         with open(os.path.join(directory, "dict.tsv"), "w", encoding="utf-8") as fh:
             for idx, cls, term in self.dictionary.iter_entries():
                 fh.write(f"{idx}\t{cls}\t{term.n3()}\n")
         names = []
+        lines = [MANIFEST_VERSION]
         for pid, bm in self._so_matrices():
             name = f"bm_so_{pid}.bin"
-            _write_bitmat(os.path.join(directory, name), bm)
+            data = _encode_bitmat(bm)
+            with open(os.path.join(directory, name), "wb") as fh:
+                fh.write(data)
             names.append(name)
+            lines.append(f"{name} {len(data)} {zlib.crc32(data)}")
         with open(os.path.join(directory, "manifest.txt"), "w", encoding="utf-8") as fh:
-            fh.write("\n".join(names) + ("\n" if names else ""))
+            fh.write("\n".join(lines) + "\n")
         return names
 
     @classmethod
     def open(cls, directory: str) -> "TripleStore":
-        """Read a saved store. Every malformed or inconsistent file raises
-        StoreError."""
+        """Read a saved store's dictionary and check its matrix files
+        without decoding them. A malformed or inconsistent dictionary,
+        manifest or file header, or a file whose size or checksum differs
+        from the manifest's, raises StoreError here; a row that does not fit
+        raises it when its predicate is first used."""
         dict_path = os.path.join(directory, "dict.tsv")
         manifest_path = os.path.join(directory, "manifest.txt")
         if not os.path.isfile(dict_path):
             raise StoreError(f"no store at {directory} (missing dict.tsv)")
         store = cls(_read_dictionary(dict_path))
-        if os.path.isfile(manifest_path):
-            names = [ln.strip() for ln in _read_lines(manifest_path) if ln.strip()]
-        else:
-            names = []
-        for name in names:
-            path = os.path.join(directory, name)
-            bm = _read_bitmat(path, store.dictionary)
-            if ("SO", bm.slice_key) in store._cache:
-                raise StoreError(f"{path}: second S-O matrix for predicate {bm.slice_key}")
-            store._cache["SO", bm.slice_key] = bm
-        for pid in range(1, store.dictionary.n_p + 1):
-            if ("SO", pid) not in store._cache:
+        d = store.dictionary
+        for path, size, crc in _read_manifest(manifest_path, directory):
+            data = _read_checked(path, size, crc)
+            try:
+                pid = _check_header(data, d)
+            except StoreError as exc:
+                raise StoreError(f"{path}: corrupt S-O matrix ({exc})") from None
+            if pid in store._files:
+                raise StoreError(f"{path}: second S-O matrix for predicate {pid}")
+            store._files[pid] = (path, size, crc)
+        for pid in range(1, d.n_p + 1):
+            if pid not in store._files:
                 raise StoreError(f"{directory}: no S-O matrix for predicate {pid}")
         return store
 
@@ -340,6 +366,30 @@ def _read_lines(path: str) -> list[str]:
             return fh.read().split("\n")
         except UnicodeDecodeError as exc:
             raise StoreError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+
+
+def _read_manifest(path: str, directory: str) -> list[tuple[str, int, int]]:
+    """(path, byte size, CRC-32) of every matrix file the manifest lists."""
+    reload = "reload it with `bitopt load --force`"
+    if not os.path.isfile(path):
+        raise StoreError(f"{path}: missing; {reload}")
+    lines = [ln for ln in _read_lines(path) if ln.strip()]
+    if not lines or lines[0] != MANIFEST_VERSION:
+        raise StoreError(
+            f"{path}: no {MANIFEST_VERSION!r} line; the store was written by "
+            f"another version of bitopt, {reload}"
+        )
+    entries = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            name, size, crc = line.split(" ")
+            entry = (os.path.join(directory, name), int(size), int(crc))
+        except ValueError:
+            raise StoreError(f"{path}:{lineno}: malformed entry {line!r}") from None
+        if os.path.basename(name) != name:
+            raise StoreError(f"{path}:{lineno}: {name!r} is not a file name")
+        entries.append(entry)
+    return entries
 
 
 def _read_dictionary(path: str) -> Dictionary:
@@ -393,7 +443,7 @@ def _encode_rowlike(row: CompressedRow) -> list[int]:
     return [tag, len(row.payload), *row.payload]
 
 
-def _write_bitmat(path: str, bm: BitMat) -> None:
+def _encode_bitmat(bm: BitMat) -> bytes:
     words = [SO_KIND_CODE, bm.slice_key, bm.n_rows, bm.n_cols, bm.triple_count]
     words += _encode_rowlike(row_from_mask(bm.nonempty_rows.mask, max(bm.n_rows, 1)))
     words += _encode_rowlike(row_from_mask(bm.nonempty_cols.mask, max(bm.n_cols, 1)))
@@ -401,14 +451,29 @@ def _write_bitmat(path: str, bm: BitMat) -> None:
     for idx in sorted(bm.rows):
         words.append(idx)
         words += _encode_rowlike(bm.rows[idx])
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(f"<{len(words)}I", *words))
+    return struct.pack(f"<{len(words)}I", *words)
 
 
-def _read_bitmat(path: str, d: Dictionary) -> BitMat:
-    """Decode one S-O matrix file and check it against the dictionary."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+def _read_checked(path: str, size: int, crc: int) -> bytes:
+    """A matrix file's bytes, provided they match the manifest."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise StoreError(f"{path}: cannot read S-O matrix ({exc.strerror})") from None
+    if len(data) != size:
+        raise StoreError(f"{path}: {len(data)} bytes, the manifest says {size}")
+    if zlib.crc32(data) != crc:
+        raise StoreError(f"{path}: checksum differs from the manifest")
+    return data
+
+
+def _read_bitmat(entry: tuple[str, int, int], d: Dictionary) -> BitMat:
+    """Read one S-O matrix file, check it against the manifest again (it
+    may have changed since ``open``), decode it and check it against the
+    dictionary."""
+    path = entry[0]
+    data = _read_checked(*entry)
     try:
         return _decode_bitmat(data, d)
     except StoreError as exc:
@@ -417,17 +482,25 @@ def _read_bitmat(path: str, d: Dictionary) -> BitMat:
         raise StoreError(f"{path}: truncated S-O matrix") from None
 
 
-def _decode_bitmat(data: bytes, d: Dictionary) -> BitMat:
+def _check_header(data: bytes, d: Dictionary) -> int:
+    """Check a matrix file's header words against the dictionary; returns
+    the predicate id."""
     if len(data) % 4 or len(data) < 24:
         raise StoreError(f"truncated to {len(data)} bytes")
-    words = struct.unpack(f"<{len(data) // 4}I", data)
-    kind_code, slice_key, n_rows, n_cols, count = words[:5]
+    kind_code, slice_key, n_rows, n_cols = struct.unpack_from("<4I", data)
     if kind_code != SO_KIND_CODE:
         raise StoreError(f"kind code {kind_code} is not an S-O matrix")
     if not 1 <= slice_key <= d.n_p:
         raise StoreError(f"predicate {slice_key} outside 1..{d.n_p}")
     if (n_rows, n_cols) != (d.n_s, d.n_o):
         raise StoreError(f"{n_rows}x{n_cols} matrix, dictionary has {d.n_s}x{d.n_o}")
+    return slice_key
+
+
+def _decode_bitmat(data: bytes, d: Dictionary) -> BitMat:
+    slice_key = _check_header(data, d)
+    words = struct.unpack(f"<{len(data) // 4}I", data)
+    n_rows, n_cols, count = words[2:5]
     at = 5
     for _ in range(2):  # non-empty row and column masks; recomputable
         at += 2 + words[at + 1]
@@ -436,7 +509,8 @@ def _decode_bitmat(data: bytes, d: Dictionary) -> BitMat:
     bm = BitMat("SO", slice_key, bitmat.S, bitmat.O, n_rows, n_cols)
     for _ in range(n_stored):
         # One row: index, tag (0/1 run-length start bit, 2 positions),
-        # payload length, payload. Decoded inline: this loop is most of open().
+        # payload length, payload. Decoded inline: this loop is most of a
+        # predicate's first use.
         idx, tag, length = words[at], words[at + 1], words[at + 2]
         at += 3
         payload = words[at : at + length]

@@ -199,6 +199,24 @@ class TestTransposeAndProduct:
         assert set(back.cells()) == set(bm.cells())
         assert (back.row_space, back.col_space) == (bm.row_space, bm.col_space)
 
+    def test_transpose_equals_build_from_swapped_cells(self):
+        rng = random.Random(17)
+        tags = set()
+        for trial in range(200):
+            rows, cols = rng.randint(1, 12), rng.randint(1, 12)
+            bm = random_bitmat(rng, rows, cols, density=rng.choice([0.05, 0.3, 0.7, 0.95]))
+            if trial % 2:  # a working copy whose rows were re-encoded in place
+                unfold(bm, BitArray(bitmat.O, cols, rng.getrandbits(cols)), "column", so_count=cols)
+            tags |= {row.tag for row in bm.rows.values()}
+            want = bitmat_from_cells(
+                "OS", 1, bitmat.O, bitmat.S, cols, rows, [(c, r) for r, c in bm.cells()]
+            )
+            got = transpose(bm)
+            assert (got.kind, got.slice_key, got.row_space, got.col_space) == ("OS", 1, bitmat.O, bitmat.S)
+            assert (got.n_rows, got.n_cols, got.triple_count) == (cols, rows, want.triple_count)
+            assert got.rows == want.rows
+        assert tags == {"pos", "rle"}
+
     def test_product_against_identity(self):
         rng = random.Random(14)
         left = random_bitmat(rng, 6, 6, row_space=bitmat.S, col_space=bitmat.S)

@@ -2,10 +2,12 @@
 and explain output stability."""
 
 import struct
+import zlib
 
 import pytest
 
 from bitopt.cli import EXIT_IO, EXIT_OK, EXIT_REJECTED, EXIT_UNSUPPORTED, main
+from bitopt.store import StoreError, TripleStore
 
 from conftest import EX, MOVIE_QUERY, MOVIES_NT, Q1_TEXT, SEINFELD_NT
 
@@ -240,8 +242,8 @@ def _dictionary_ids_not_dense(store_dir):
 def _predicate_without_file(store_dir):
     (store_dir / "bm_so_2.bin").unlink()
     manifest = store_dir / "manifest.txt"
-    names = [n for n in manifest.read_text().split() if n != "bm_so_2.bin"]
-    manifest.write_text("\n".join(names) + "\n")
+    lines = [ln for ln in manifest.read_text().splitlines() if ln.split(" ")[0] != "bm_so_2.bin"]
+    manifest.write_text("\n".join(lines) + "\n")
 
 
 class TestCorruptStore:
@@ -270,6 +272,106 @@ class TestCorruptStore:
     )
     def test_exits_with_one_error_line(self, tmp_path, store_dir, capsys, damage):
         damage(store_dir)
+        qpath = write_query(tmp_path, Q1_TEXT)
+        assert main(["query", str(store_dir), qpath]) == EXIT_IO
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+def _reseal(store_dir, name):
+    """Make the manifest line of ``name`` match the file as it is now."""
+    data = (store_dir / name).read_bytes()
+    manifest = store_dir / "manifest.txt"
+    lines = [
+        f"{name} {len(data)} {zlib.crc32(data)}" if ln.split(" ")[0] == name else ln
+        for ln in manifest.read_text().splitlines()
+    ]
+    manifest.write_text("\n".join(lines) + "\n")
+
+
+class TestLazyDecodeErrors:
+    """A file that matches its manifest line but not the dictionary passes
+    open() and fails when a query first uses its predicate."""
+
+    def test_only_queries_naming_the_predicate_fail(self, tmp_path, store_dir, capsys):
+        _row_past_width(store_dir)  # bm_so_1.bin holds :hasFriend
+        _reseal(store_dir, "bm_so_1.bin")
+        capsys.readouterr()
+        qpath = write_query(tmp_path, Q1_TEXT)
+        assert main(["query", str(store_dir), qpath]) == EXIT_IO
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "bm_so_1.bin" in err[0], err
+        assert captured.out == ""
+        qpath = write_query(tmp_path, "SELECT ?who WHERE { ?who :actedIn :Veep }", "other.rq")
+        assert main(["query", str(store_dir), qpath]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out == f"?who\n<{EX}Julia>\n"
+        assert captured.err == ""
+
+    def test_oracle_reads_every_predicate(self, tmp_path, store_dir, capsys):
+        _row_past_width(store_dir)
+        _reseal(store_dir, "bm_so_1.bin")
+        qpath = write_query(tmp_path, "SELECT ?who WHERE { ?who :actedIn :Veep }")
+        assert main(["query", str(store_dir), qpath, "--oracle"]) == EXIT_IO
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+class TestManifestVersion:
+    def test_store_without_version_line_must_be_reloaded(self, tmp_path, store_dir, capsys):
+        # The manifest as the previous store format wrote it: file names only.
+        manifest = store_dir / "manifest.txt"
+        names = [ln.split(" ")[0] for ln in manifest.read_text().splitlines()[1:]]
+        manifest.write_text("\n".join(names) + "\n")
+        qpath = write_query(tmp_path, Q1_TEXT)
+        assert main(["query", str(store_dir), qpath]) == EXIT_IO
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert "bitopt load --force" in err[0]
+
+    @pytest.mark.parametrize("entry", ["bm_so_1.bin 72", "bm_so_1.bin 72 x", "../store/bm_so_1.bin 72 1"])
+    def test_malformed_entry(self, tmp_path, store_dir, capsys, entry):
+        manifest = store_dir / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("\n".join(lines[:1] + [entry] + lines[2:]) + "\n")
+        qpath = write_query(tmp_path, Q1_TEXT)
+        assert main(["query", str(store_dir), qpath]) == EXIT_IO
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "manifest.txt:2" in err[0], err
+
+
+class TestResealedDamage:
+    """The same damage with the manifest line made to match the file, so the
+    size and checksum pass: the header checks still reject the file at
+    open(), the row checks when a query first uses its predicate (a row past
+    the width is in TestLazyDecodeErrors)."""
+
+    @pytest.mark.parametrize(
+        "damage, at_open",
+        [
+            (_truncate, True),
+            (_unknown_kind, True),
+            (_non_so_kind, True),
+            (_rows_differ_from_dictionary, True),
+            (_cols_differ_from_dictionary, True),
+            (_slice_key_out_of_range, True),
+            (_slice_key_zero, True),
+            (_slice_key_repeated, True),
+            (_truncate_whole_word, False),
+            (_trailing_word, False),
+        ],
+        ids=lambda f: f.__name__.lstrip("_") if callable(f) else None,
+    )
+    def test_exits_with_one_error_line(self, tmp_path, store_dir, capsys, damage, at_open):
+        damage(store_dir)
+        for path in store_dir.glob("bm_so_*.bin"):
+            _reseal(store_dir, path.name)
+        if at_open:
+            with pytest.raises(StoreError):
+                TripleStore.open(str(store_dir))
+        else:
+            TripleStore.open(str(store_dir))
         qpath = write_query(tmp_path, Q1_TEXT)
         assert main(["query", str(store_dir), qpath]) == EXIT_IO
         err = capsys.readouterr().err.splitlines()

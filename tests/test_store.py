@@ -192,7 +192,8 @@ def _random_store_text(seed: int) -> str:
 
 
 def _check_against_brute_force(store: TripleStore, text: str) -> None:
-    """Every slice, ground bit and count equals a build from the raw triples."""
+    """Every slice, row and column read, ground bit and count equals a
+    build from the raw triples."""
     d = store.dictionary
     terms = set(parse_ntriples(text))
     ids = {(d.subject_id(s), d.predicate_id(p), d.object_id(o)) for s, p, o in terms}
@@ -205,13 +206,20 @@ def _check_against_brute_force(store: TripleStore, text: str) -> None:
         assert set(bm.cells()) == want
         assert bm.triple_count == len(want)
 
+    def check_read(kind, key, n_cols, want):
+        # A row or column read is a one-row matrix of the constant's id.
+        bm = store.bitmat(kind, key)
+        assert (bm.kind, bm.slice_key, bm.n_rows, bm.n_cols) == ("ROW", key[1], 1, n_cols)
+        assert set(bm.cells()) == {(1, c) for c in want}
+        assert bm.triple_count == len(want)
+
     for pid in range(1, d.n_p + 1):
         check("SO", pid, d.n_s, d.n_o, {(s, o) for s, p, o in ids if p == pid})
         check("OS", pid, d.n_o, d.n_s, {(o, s) for s, p, o in ids if p == pid})
-    for oid in range(1, d.n_o + 1):
-        check("PS", oid, d.n_p, d.n_s, {(p, s) for s, p, o in ids if o == oid})
-    for sid in range(1, d.n_s + 1):
-        check("PO", sid, d.n_p, d.n_o, {(p, o) for s, p, o in ids if s == sid})
+        for sid in range(1, d.n_s + 1):
+            check_read("SO_ROW", (pid, sid), d.n_o, {o for s, p, o in ids if (s, p) == (sid, pid)})
+        for oid in range(1, d.n_o + 1):
+            check_read("SO_COL", (pid, oid), d.n_s, {s for s, p, o in ids if (p, o) == (pid, oid)})
     for sid in range(1, d.n_s + 1):
         for pid in range(1, d.n_p + 1):
             for oid in range(1, d.n_o + 1):
@@ -239,3 +247,60 @@ class TestDerivedSlices:
             for pid in range(1, store.dictionary.n_p + 1):
                 tags |= {row.tag for row in store.bitmat("SO", pid).rows.values()}
         assert tags == {"pos", "rle"}
+
+
+class TestLazyOpen:
+    """``open`` checks every file but decodes none; a predicate's matrix is
+    decoded on its first use, once."""
+
+    @pytest.fixture()
+    def decoded(self, monkeypatch):
+        import bitopt.store
+
+        pids = []
+        original = bitopt.store._decode_bitmat
+
+        def spy(data, d):
+            bm = original(data, d)
+            pids.append(bm.slice_key)
+            return bm
+
+        monkeypatch.setattr(bitopt.store, "_decode_bitmat", spy)
+        return pids
+
+    def test_open_decodes_nothing(self, tmp_path, decoded):
+        TripleStore.from_ntriples(SEINFELD_NT).save(str(tmp_path))
+        store = TripleStore.open(str(tmp_path))
+        assert decoded == []
+        assert store.triple_count == 8
+        assert sorted(decoded) == [1, 2, 3]
+
+    def test_query_decodes_the_predicates_it_names(self, tmp_path, decoded):
+        from bitopt.executor import run_query
+        from bitopt.parser import parse
+
+        fresh = TripleStore.from_ntriples(SEINFELD_NT)
+        fresh.save(str(tmp_path))
+        store = TripleStore.open(str(tmp_path))
+        d = store.dictionary
+        query = parse("SELECT ?f ?s WHERE { :Jerry :hasFriend ?f . ?f :actedIn ?s . }")
+
+        def rows(on):
+            return sorted(run_query(query, on).relation.project(query.projection).rows, key=str)
+
+        assert len(rows(store)) == 5 and rows(store) == rows(fresh)
+        assert sorted(decoded) == sorted([d.predicate_id(iri("hasFriend")), d.predicate_id(iri("actedIn"))])
+
+    def test_file_changed_after_open(self, tmp_path):
+        from bitopt.store import StoreError
+
+        TripleStore.from_ntriples(SEINFELD_NT).save(str(tmp_path))
+        store = TripleStore.open(str(tmp_path))
+        victim = tmp_path / "bm_so_2.bin"
+        victim.write_bytes(victim.read_bytes()[:-4] + bytes(4))
+        assert store.bitmat("SO", 1).triple_count == 2
+        with pytest.raises(StoreError, match="checksum"):
+            store.bitmat("SO", 2)
+        victim.unlink()
+        with pytest.raises(StoreError, match="bm_so_2.bin"):
+            store.bitmat("SO", 2)
