@@ -11,10 +11,14 @@ the most matrices, and compares that with the brute-force evaluator too.
 Then does the same for DISTINCT queries (a random subset of each query's
 variables): ``distinct_eval`` as dispatched, ``distinct_eval`` forced onto
 the naive path and the brute-force evaluator must all agree after minimum
-union; prints how many queries took each DISTINCT path. Finally saves each
-random store, reopens it (so every matrix is decoded on its predicate's
-first use) and compares the engine on the reopened store with the
-brute-force evaluator on the store as built.
+union; prints how many queries took each DISTINCT path and how many joins
+(``MultiWayJoin.run`` calls) each path ran, and fails if a matrix-path
+query ran any join but its one covering-subgraph join or a naive-path query
+ran other than one join per disjunct. Finally saves each random store,
+reopens it (so every matrix is decoded on its predicate's first use),
+compares the engine on the reopened store with the brute-force evaluator on
+the store as built, and counts the row reads (constant subject) and column
+reads (constant object) the reopened stores served.
 
 Usage: python scripts/agreement_experiment.py [n_queries] [seed]
 """
@@ -24,10 +28,11 @@ import sys
 import tempfile
 import time
 from collections import Counter
+from contextlib import contextmanager
 
 from bitopt.algebra import Query
 from bitopt.distinct import distinct_eval
-from bitopt.executor import Relation, RunConfig, best_match, run_query
+from bitopt.executor import MultiWayJoin, Relation, RunConfig, best_match, run_query
 from bitopt.oracle import oracle_eval
 from bitopt.store import TripleStore
 from bitopt.structure import DisconnectedQueryError
@@ -79,6 +84,10 @@ def engine_run(
             stats["rejected-cartesian"] += 1
             continue
         stats["ran"] += 1
+        if workdir is not None:
+            for kind, _ in engine_store._cache:
+                if kind in ("SO_ROW", "SO_COL"):
+                    stats[f"{kind} reads"] += 1
         for trace in result.disjuncts:
             stats["nb-required" if trace.nulreqd else "nb-skipped"] += 1
         if result.rule3_used:
@@ -92,6 +101,23 @@ def engine_run(
     return stats
 
 
+@contextmanager
+def counting_joins():
+    """Count ``MultiWayJoin.run`` calls in the yielded one-element list."""
+    calls = [0]
+    run = MultiWayJoin.run
+
+    def counted(join):
+        calls[0] += 1
+        return run(join)
+
+    MultiWayJoin.run = counted
+    try:
+        yield calls
+    finally:
+        MultiWayJoin.run = run
+
+
 def distinct_run(total: int, base_seed: int) -> Counter:
     # Acyclic and mostly union- and filter-free, so every path is exercised.
     cfg = GenConfig(p_optional=0.5, p_union=0.1, p_filter=0.15, acyclic_only=True, p_peer_join=0.0)
@@ -103,13 +129,20 @@ def distinct_run(total: int, base_seed: int) -> Counter:
         store = TripleStore.from_ntriples(random_store_text(rng, cfg))
         query = distinct_variant(rng, random_query(rng, cfg))
         try:
-            fast = distinct_eval(query, store)
+            with counting_joins() as joins:
+                fast = distinct_eval(query, store)
             naive = distinct_eval(query, store, force_naive=True)
         except DisconnectedQueryError:
             stats["rejected-cartesian"] += 1
             continue
+        fast_joins = joins[0]
         stats["ran"] += 1
         stats[fast.path] += 1
+        stats[f"{fast.path} joins"] += fast_joins
+        expected_joins = len(fast.result.disjuncts) if fast.path == "naive" else 1
+        if fast_joins != expected_joins:
+            stats["JOIN-COUNT"] += 1
+            print(f"distinct join count at seed {seed - 1}: path={fast.path} ran {fast_joins}, expected {expected_joins}")
         expected = minimum_union(reference(query, store))
         if minimum_union(fast.relation) == expected == minimum_union(naive.relation):
             stats["agreed"] += 1
@@ -138,12 +171,13 @@ def main():
     dstats = distinct_run(total, base_seed)
     for path in DISTINCT_PATHS:
         dstats.setdefault(path, 0)
+        dstats.setdefault(f"{path} joins", 0)
     report("distinct", dstats, time.perf_counter() - started)
     started = time.perf_counter()
     with tempfile.TemporaryDirectory() as workdir:
         rstats = engine_run(total, base_seed, workdir=workdir)
     report("reopened store", rstats, time.perf_counter() - started)
-    if any(s["MISMATCH"] for s in (stats, tstats, dstats, rstats)):
+    if any(s["MISMATCH"] for s in (stats, tstats, dstats, rstats)) or dstats["JOIN-COUNT"]:
         sys.exit(1)
 
 

@@ -221,10 +221,6 @@ class BitArray:
         return self.mask != 0
 
 
-def full_mask(space: str, width: int) -> BitArray:
-    return BitArray(space, width, (1 << width) - 1)
-
-
 def align_mask(mask: BitArray, space: str, width: int, so_count: int) -> int:
     """Project ``mask`` onto a dimension in ``space``.
 

@@ -15,7 +15,7 @@ import sys
 
 from .algebra import QueryRejectedError
 from .distinct import distinct_eval
-from .executor import RunConfig, best_match, run_query
+from .executor import Relation, RunConfig, run_query
 from .explain import render_explain
 from .ntriples import NTriplesError
 from .oracle import OracleCapacityError, oracle_eval
@@ -38,7 +38,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     load = sub.add_parser("load", help="load an N-Triples file into a store directory")
     load.add_argument("store", nargs="?", default=None, help="store directory (default: $BITOPT_STORE)")
     load.add_argument("data", help="N-Triples input file")
-    load.add_argument("--force", action="store_true", help="allow reloading into a non-empty directory")
+    load.add_argument("--force", action="store_true", help="replace the store in a non-empty directory")
 
     query = sub.add_parser("query", help="run a query against a store")
     query.add_argument("store", nargs="?", default=None, help="store directory (default: $BITOPT_STORE)")
@@ -80,7 +80,7 @@ def cmd_load(args) -> int:
         return EXIT_IO
     try:
         store.save(directory)
-    except OSError as exc:
+    except (OSError, StoreError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     d = store.dictionary
@@ -126,8 +126,6 @@ def cmd_query(args) -> int:
     try:
         if args.oracle:
             relation = oracle_eval(query, store.term_triples())
-            from .executor import Relation
-
             projected = Relation(
                 tuple(query.projection),
                 [
@@ -147,19 +145,14 @@ def cmd_query(args) -> int:
         )
         if query.distinct:
             outcome = distinct_eval(query, store, config)
-            if args.explain:
-                report = render_explain(
-                    query,
-                    outcome.result,
-                    [f"distinct.path={outcome.path}"] + [f"distinct.{ln}" for ln in outcome.mcs_trace],
-                )
-                sys.stderr.write(report)
-            _emit(outcome.relation, query.projection, out)
-            return EXIT_OK
-        result = run_query(query, store, config)
+            result, relation = outcome.result, outcome.relation
+            extra = [f"distinct.path={outcome.path}"] + [f"distinct.{ln}" for ln in outcome.mcs_trace]
+        else:
+            result = run_query(query, store, config)
+            relation, extra = result.relation.project(query.projection), []
         if args.explain:
-            sys.stderr.write(render_explain(query, result))
-        _emit(result.relation.project(query.projection), query.projection, out)
+            sys.stderr.write(render_explain(query, result, extra))
+        _emit(relation, query.projection, out)
         return EXIT_OK
     except UnsupportedByIndexError as exc:
         print(f"error: unsupported-by-index: {exc}", file=sys.stderr)

@@ -9,7 +9,8 @@ then run through the engine's own pipelined join (``MultiWayJoin``), which
 reads each matrix's supernode from its ``sid`` to drive the optional-block
 NULL semantics. Every other shape (distinct variables confined to optional
 blocks, cycles, unions, filters) uses the naive path: project the engine's
-rows. Only the path taken deduplicates, once, by equality and subsumption,
+rows. The path is chosen from the query's plan before any join runs, and
+only the path taken deduplicates, once, by equality and subsumption,
 matching the minimum-union treatment of optional blocks, so the two paths
 agree wherever both apply.
 """
@@ -20,7 +21,19 @@ from dataclasses import dataclass, field
 
 from .algebra import Filter, Query, Union, Variable, iter_nodes
 from .bitmat import BitMat, bmm, transpose
-from .executor import EngineResult, MultiWayJoin, Relation, RunConfig, best_match, build_stps, run_query
+from .executor import (
+    EngineResult,
+    MultiWayJoin,
+    Plan,
+    Relation,
+    RunConfig,
+    best_match,
+    build_stps,
+    execute,
+    plan_query,
+    run_query,
+    term_rows,
+)
 from .patmat import PatternMatrix
 from .store import TripleStore
 from .structure import Gosn, Got
@@ -66,10 +79,9 @@ def carve_mcs(
     gosn: Gosn,
     matrices: dict[int, PatternMatrix],
     requirements: dict[int, frozenset[Variable]],
-    universe: set[int],
 ) -> Mcs:
-    """Smallest connected pattern set meeting the per-supernode coverage
-    requirements.
+    """Smallest connected set of the required supernodes' patterns meeting
+    their coverage requirements.
 
     ``requirements`` maps a supernode to the distinct variables its own
     patterns must keep covering (a dominated variable is covered by the
@@ -81,6 +93,7 @@ def carve_mcs(
     dvars: frozenset[Variable] = frozenset()
     for need in requirements.values():
         dvars |= need
+    universe = {tp.index for sid in requirements for tp in gosn.supernodes[sid].patterns}
 
     def sid_of(idx: int) -> int:
         return gosn.sn_of_pattern[idx]
@@ -277,7 +290,7 @@ def shrink_mcs(mcs: Mcs, gosn: Gosn, so_count: int) -> Mcs:
 class DistinctOutcome:
     relation: Relation
     path: str  # "bmm-bgp" | "bmm-bgp-opt" | "naive"
-    result: EngineResult  # the engine run both paths start from
+    result: Plan  # the base query's plan; on the naive path, its EngineResult
     mcs_trace: list[str] = field(default_factory=list)
 
 
@@ -288,36 +301,34 @@ def _own_dvars(gosn: Gosn, sid: int, dvars: frozenset[Variable]) -> frozenset[Va
     return (dvars & gosn.sn_vars(sid)) - master_vars
 
 
-def _bmm_eligible(query: Query, result: EngineResult) -> "str | None":
-    if any(isinstance(n, (Union, Filter)) for n in iter_nodes(query.root)):
-        return None
-    if len(result.disjuncts) != 1:
-        return None
-    report = result.disjuncts[0].report
+def _bmm_eligible(query: Query, plan: Plan) -> "tuple[str, dict[int, frozenset[Variable]]] | None":
+    """The matrix-product path a planned UNION- and FILTER-free query takes,
+    with the covering supernodes, each mapped to the distinct variables its
+    own patterns must cover; None when only the naive path applies."""
+    gosn, report = plan.disjuncts[0].gosn, plan.disjuncts[0].report
     if not (
         report.got_acyclic
         and report.fully_reducible
         and report.supernodes_acyclic
         and report.supernodes_connected
         and report.supernodes_reducible
-        and report.connected
     ):
         return None  # pruning only guarantees minimal matrices on this class
-    gosn = result.disjuncts[0].gosn
-    if len(gosn.supernodes) == 1:
-        return "bmm-bgp"
     dvars = frozenset(query.projection)
-    if not (dvars & gosn.sn_vars(gosn.abs_id)):
+    requirements = {gosn.abs_id: dvars & gosn.sn_vars(gosn.abs_id)}
+    if len(gosn.supernodes) == 1:
+        return "bmm-bgp", requirements
+    if not requirements[gosn.abs_id]:
         return None  # distinct variables confined to optional blocks
-    covering = {gosn.abs_id}
-    for sid in gosn.supernodes:
-        if _own_dvars(gosn, sid, dvars):
-            covering.add(sid)
-            covering |= gosn.masters.get(sid, frozenset())
-    for sid in covering:
-        if not (dvars & gosn.sn_vars(sid)):
-            return None  # a connecting supernode carries no distinct variable
-    return "bmm-bgp-opt"
+    for sid in gosn.topo_order():
+        own = _own_dvars(gosn, sid, dvars)
+        if sid != gosn.abs_id and own:
+            requirements[sid] = own
+            for m in gosn.masters.get(sid, frozenset()):
+                requirements.setdefault(m, dvars & gosn.sn_vars(m))
+    if not all(requirements.values()):
+        return None  # a connecting supernode carries no distinct variable
+    return "bmm-bgp-opt", requirements
 
 
 def distinct_eval(
@@ -328,44 +339,27 @@ def distinct_eval(
 ) -> DistinctOutcome:
     """DISTINCT dispatch: matrix-product path for acyclic pruned BGP and
     BGP-OPT queries whose projection reaches the absolute master, naive
-    evaluate-then-dedup otherwise. Each path ends with one subsumption-aware
-    dedup of its own rows, so they are interchangeable where both apply."""
+    evaluate-then-dedup otherwise. The path is chosen before anything is
+    joined, and only that path runs. Each path ends with one
+    subsumption-aware dedup of its own rows, so they are interchangeable
+    where both apply."""
     config = config or RunConfig()
-    result = run_query(query, store, config)
-    path = None if (force_naive or not config.prune) else _bmm_eligible(query, result)
-    if path is None:
-        return _naive(query, result)
-    trace = result.disjuncts[0]
-    gosn, got = trace.gosn, trace.got
-    dvars = frozenset(query.projection)
-    if path == "bmm-bgp":
-        requirements = {gosn.abs_id: dvars & gosn.sn_vars(gosn.abs_id)}
-        universe = {tp.index for tp in got.nodes}
-    else:
-        covering = {gosn.abs_id}
-        requirements = {gosn.abs_id: dvars & gosn.sn_vars(gosn.abs_id)}
-        for sid in gosn.topo_order():
-            own = _own_dvars(gosn, sid, dvars)
-            if sid != gosn.abs_id and own:
-                covering.add(sid)
-                covering |= gosn.masters.get(sid, frozenset())
-                requirements[sid] = own
-        universe = {
-            tp.index
-            for sid in covering
-            for tp in gosn.supernodes[sid].patterns
-        }
-        for sid in covering:
-            requirements.setdefault(sid, dvars & gosn.sn_vars(sid))
-    mcs = carve_mcs(got, gosn, result.matrices, requirements, universe)
-    trace_lines = [f"mcs.carved {mcs.describe()}"]
-    if not got.subgraph(set(mcs.nodes)).connected():
-        return _naive(query, result)
-    mcs = shrink_mcs(mcs, gosn, store.dictionary.n_so)
-    trace_lines.extend(f"mcs.step.{i} {snap}" for i, snap in enumerate(mcs.evolution, 1))
-    trace_lines.append(f"mcs.shrunk {mcs.describe()}")
-    relation = _evaluate_mcs(mcs, gosn, store, query)
-    return DistinctOutcome(relation, path, result, trace_lines)
+    if force_naive or not config.prune or any(isinstance(n, (Union, Filter)) for n in iter_nodes(query.root)):
+        return _naive(query, run_query(query, store, config))
+    plan = plan_query(query, store, config)
+    eligible = _bmm_eligible(query, plan)
+    if eligible is not None:
+        path, requirements = eligible
+        trace = plan.disjuncts[0]
+        gosn, got = trace.gosn, trace.got
+        mcs = carve_mcs(got, gosn, trace.matrices, requirements)
+        if got.subgraph(set(mcs.nodes)).connected():
+            trace_lines = [f"mcs.carved {mcs.describe()}"]
+            mcs = shrink_mcs(mcs, gosn, store.dictionary.n_so)
+            trace_lines.extend(f"mcs.step.{i} {snap}" for i, snap in enumerate(mcs.evolution, 1))
+            trace_lines.append(f"mcs.shrunk {mcs.describe()}")
+            return DistinctOutcome(_evaluate_mcs(mcs, gosn, store, query), path, plan, trace_lines)
+    return _naive(query, execute(plan))
 
 
 def _naive(query: Query, result: EngineResult) -> DistinctOutcome:
@@ -374,25 +368,8 @@ def _naive(query: Query, result: EngineResult) -> DistinctOutcome:
 
 def _evaluate_mcs(mcs: Mcs, gosn: Gosn, store: TripleStore, query: Query) -> Relation:
     """Run the surviving matrices (patterns and products alike) through the
-    engine's pipelined join, project the distinct variables, and dedup with
-    subsumption."""
+    engine's pipelined join, emit its rows over the distinct variables (one
+    no surviving matrix binds is NULL), and dedup with subsumption."""
     join = MultiWayJoin(gosn, mcs.nodes, build_stps(gosn, mcs, mcs.nodes), store)
-    header = tuple(
-        sorted({v for pm in mcs.nodes.values() for v in pm.vars()}, key=lambda v: v.name)
-    )
-    relation = Relation(header)
-    d = store.dictionary
-    for vmap in join.run():
-        relation.rows.append(
-            tuple(None if vmap.get(v) is None else d.term_of(vmap[v]) for v in header)
-        )
-    present = [v for v in query.projection if v in header]
-    projected = relation.project(tuple(present))
-    if tuple(present) != query.projection:
-        idx = {v: i for i, v in enumerate(present)}
-        rows = [
-            tuple(row[idx[v]] if v in idx else None for v in query.projection)
-            for row in projected.rows
-        ]
-        projected = Relation(query.projection, rows)
-    return best_match(projected)
+    rows = term_rows(join.run(), query.projection, store.dictionary)
+    return best_match(Relation(query.projection, list(rows)))

@@ -1,7 +1,9 @@
 """Pipelined evaluation: pattern ordering, the multi-way join with
-backtracking and NULL extension, nullification, best-match, and the full
-query pipeline (filter placement, per-component pruning, union-normal-form
-expansion, per-disjunct joins, minimum union where required).
+backtracking and NULL extension, nullification, best-match, and the query
+pipeline in two steps. ``plan_query`` places filters, analyzes the
+structure, prunes each UNION-free component and expands to union normal
+form; ``execute`` runs one join per disjunct and applies minimum union where
+required.
 
 The join keeps no intermediate tables: its only mutable state is one
 variable-binding map plus a recursion stack bounded by the pattern count.
@@ -10,8 +12,8 @@ variable-binding map plus a recursion stack bounded by the pattern count.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Iterator, Sequence
 
 from .algebra import (
     Bgp,
@@ -32,7 +34,7 @@ from .bitmat import transpose
 from .patmat import PatternMatrix, UnsupportedByIndexError
 from .pruning import PruneContext, PruneSchedule, load_matrices, prune_triples
 from .rewriter import ScopedConjunct, collect_scoped_conjuncts, to_unf, push_filters
-from .store import Coord, TripleStore
+from .store import Coord, Dictionary, TripleStore
 from .structure import (
     DisconnectedQueryError,
     Gosn,
@@ -240,10 +242,6 @@ class MultiWayJoin:
                         homes[v] = sid
         return homes
 
-    @property
-    def nullified_any(self) -> bool:
-        return self.stats.nullified_rows > 0
-
     def run(self) -> Iterator[dict[Variable, "Coord | None"]]:
         vmap: dict[Variable, "Coord | None"] = {}
         status: dict[int, str] = {}
@@ -376,32 +374,47 @@ def nullification(
 
 @dataclass
 class DisjunctTrace:
+    """One union-normal-form disjunct as planned: its structure, join order,
+    the matrices its join reads (its own supernode ids around the shared
+    pruned BitMats) and residual filter conjuncts; ``execute`` sets stats."""
+
     algebra: str
     gosn: Gosn
     got: Got
     report: StructureReport
     nulreqd: bool
     stps: list[int]
-    stats: JoinStats
-    nullified_any: bool
+    matrices: dict[int, PatternMatrix]
+    residual: list[ScopedConjunct]
+    stats: JoinStats = field(default_factory=JoinStats)
 
 
 @dataclass
-class EngineResult:
-    relation: Relation  # full rows over all query variables
+class Plan:
+    """Everything ``execute`` needs: the pruned matrices of every pattern,
+    the pruning schedules and one ``DisjunctTrace`` per disjunct."""
+
+    store: TripleStore
+    config: RunConfig
+    header: tuple[Variable, ...]  # all query variables
     rule3_used: bool
-    best_match_applied: bool
     disjuncts: list[DisjunctTrace]
     schedules: list[tuple[str, PruneSchedule]]
     matrices: dict[int, PatternMatrix]
+
+
+@dataclass
+class EngineResult(Plan):
+    """An executed plan: its rows and whether best-match ran on them."""
+
+    relation: Relation  # full rows over all query variables
+    best_match_applied: bool
 
 
 def union_free_components(node: PatternNode) -> list[PatternNode]:
     """Maximal UNION-free subtrees, left to right."""
     if not any(isinstance(sub, Union) for sub in iter_nodes(node)):
         return [node]
-    if isinstance(node, Union):
-        return union_free_components(node.left) + union_free_components(node.right)
     if isinstance(node, Filter):
         return union_free_components(node.inner)
     return union_free_components(node.left) + union_free_components(node.right)
@@ -415,51 +428,26 @@ def _reject_unsupported(query: Query) -> None:
             )
 
 
-def run_query(query: Query, store: TripleStore, config: "RunConfig | None" = None) -> EngineResult:
-    """Evaluate one query: push filters, prune each UNION-free component,
-    expand to union normal form, run the pipelined join per disjunct, then
-    union all and apply best-match when a disjunct nullified something or
-    the slave-side union rewrite was used."""
+def _analyze(node: PatternNode) -> tuple[PatternNode, Gosn, Got, StructureReport, list[ScopedConjunct]]:
+    norm = coalesce_bgps(node)
+    gosn = build_gosn(norm)
+    got = build_got(gosn)
+    return norm, gosn, got, classify(gosn, got), collect_scoped_conjuncts(norm)
+
+
+def plan_query(query: Query, store: TripleStore, config: "RunConfig | None" = None) -> Plan:
+    """Everything before the joins: push filters, analyze each UNION-free
+    component and each union-normal-form disjunct, reject a disconnected
+    disjunct before any matrix loads, load and prune each component's
+    matrices (disjuncts share them), and fix each disjunct's join order."""
     config = config or RunConfig()
     _reject_unsupported(query)
     pushed = push_filters(query.root)
-    all_vars = tuple(sorted(node_vars(pushed), key=lambda v: v.name))
-
-    # Prune once per union-free component; disjuncts share the results.
-    matrices: dict[int, PatternMatrix] = {}
-    schedules: list[tuple[str, PruneSchedule]] = []
-    applied_conjuncts: set[int] = set()
-    for comp in union_free_components(pushed):
-        comp_norm = coalesce_bgps(comp)
-        gosn = build_gosn(comp_norm)
-        got = build_got(gosn)
-        report = classify(gosn, got)
-        scoped = collect_scoped_conjuncts(comp_norm)
-        comp_matrices, applied = load_matrices(
-            store,
-            gosn,
-            got,
-            scoped,
-            active_prune=config.prune,
-            loadtime_filters=config.prune,
-        )
-        applied_conjuncts |= applied
-        ctx = PruneContext(store, gosn, got, report, comp_matrices)
-        if config.prune:
-            schedule = prune_triples(ctx)
-            label = serialize_component(comp_norm)
-            schedules.append((label, schedule))
-        matrices.update(comp_matrices)
-
     unf = to_unf(pushed)
-    disjunct_rows: list[tuple[tuple[Variable, ...], list[dict]]] = []
-    traces: list[DisjunctTrace] = []
-    any_nullified = False
-    for disjunct in unf.disjuncts:
-        norm = coalesce_bgps(disjunct)
-        gosn = build_gosn(norm)
-        got = build_got(gosn)
-        report = classify(gosn, got)
+    components = [_analyze(comp) for comp in union_free_components(pushed)]
+    # With no UNION the one component is the one disjunct: analyze it once.
+    disjuncts = components if len(components) == 1 else [_analyze(d) for d in unf.disjuncts]
+    for _, gosn, got, report, _ in disjuncts:
         if not report.connected:
             raise DisconnectedQueryError(
                 "query pattern graph is disconnected; only the brute-force "
@@ -472,9 +460,23 @@ def run_query(query: Query, store: TripleStore, config: "RunConfig | None" = Non
                 "absolute-master patterns form a Cartesian product; only the "
                 "brute-force evaluator supports Cartesian queries"
             )
-        own = {idx: matrices[idx] for idx in gosn.sn_of_pattern}
-        for idx, pm in own.items():
-            pm.sid = gosn.sn_of_pattern[idx]
+
+    matrices: dict[int, PatternMatrix] = {}
+    schedules: list[tuple[str, PruneSchedule]] = []
+    applied_conjuncts: set[int] = set()
+    for norm, gosn, got, report, scoped in components:
+        comp_matrices, applied = load_matrices(
+            store, gosn, got, scoped, active_prune=config.prune, loadtime_filters=config.prune
+        )
+        applied_conjuncts |= applied
+        if config.prune:
+            schedule = prune_triples(PruneContext(store, gosn, got, report, comp_matrices))
+            schedules.append((serialize_component(norm), schedule))
+        matrices.update(comp_matrices)
+
+    traces: list[DisjunctTrace] = []
+    for norm, gosn, got, report, scoped in disjuncts:
+        own = {idx: replace(matrices[idx], sid=sid) for idx, sid in gosn.sn_of_pattern.items()}
         if config.nullify == "on":
             nulreqd = True
         elif config.nullify == "off":
@@ -485,51 +487,44 @@ def run_query(query: Query, store: TripleStore, config: "RunConfig | None" = Non
             stps = sorted(tp.index for tp in node_patterns(norm))
         else:
             stps = build_stps(gosn, got, own)
-        residual = [
-            sc
-            for sc in collect_scoped_conjuncts(norm)
-            if id(sc.conjunct) not in applied_conjuncts
-        ]
-        dvars = tuple(sorted(node_vars(norm), key=lambda v: v.name))
-        join = MultiWayJoin(gosn, own, stps, store, nulreqd, residual)
-        rows = list(join.run())
-        any_nullified |= join.nullified_any
+        residual = [sc for sc in scoped if id(sc.conjunct) not in applied_conjuncts]
         traces.append(
-            DisjunctTrace(
-                serialize_component(norm),
-                gosn,
-                got,
-                report,
-                nulreqd,
-                stps,
-                join.stats,
-                join.nullified_any,
-            )
+            DisjunctTrace(serialize_component(norm), gosn, got, report, nulreqd, stps, own, residual)
         )
-        disjunct_rows.append((dvars, rows))
+    header = tuple(sorted(node_vars(pushed), key=lambda v: v.name))
+    return Plan(store, config, header, unf.rule3_used, traces, schedules, matrices)
 
-    relation = Relation(all_vars)
-    d = store.dictionary
-    for dvars, rows in disjunct_rows:
-        for vmap in rows:
-            relation.rows.append(
-                tuple(
-                    None
-                    if v not in vmap or vmap[v] is None
-                    else d.term_of(vmap[v])
-                    for v in all_vars
-                )
-            )
 
-    if config.best_match == "on":
-        apply_bm = True
-    elif config.best_match == "off":
-        apply_bm = False
+def term_rows(
+    vmaps: Iterable[dict[Variable, "Coord | None"]], header: tuple[Variable, ...], dictionary: Dictionary
+) -> Iterator[tuple["Term | None", ...]]:
+    """One row of terms over ``header`` per binding map; a variable the map
+    leaves unbound or NULL is None."""
+    for vmap in vmaps:
+        yield tuple(None if vmap.get(v) is None else dictionary.term_of(vmap[v]) for v in header)
+
+
+def execute(plan: Plan) -> EngineResult:
+    """Run each disjunct's pipelined join, union all rows, then apply
+    best-match when a disjunct nullified something or the slave-side union
+    rewrite was used."""
+    relation = Relation(plan.header)
+    for trace in plan.disjuncts:
+        join = MultiWayJoin(trace.gosn, trace.matrices, trace.stps, plan.store, trace.nulreqd, trace.residual)
+        relation.rows.extend(term_rows(join.run(), plan.header, plan.store.dictionary))
+        trace.stats = join.stats
+    if plan.config.best_match == "auto":
+        apply_bm = plan.rule3_used or any(t.stats.nullified_rows for t in plan.disjuncts)
     else:
-        apply_bm = any_nullified or unf.rule3_used
+        apply_bm = plan.config.best_match == "on"
     if apply_bm:
         relation = best_match(relation)
-    return EngineResult(relation, unf.rule3_used, apply_bm, traces, schedules, matrices)
+    return EngineResult(**vars(plan), relation=relation, best_match_applied=apply_bm)
+
+
+def run_query(query: Query, store: TripleStore, config: "RunConfig | None" = None) -> EngineResult:
+    """Evaluate one query: ``execute(plan_query(...))``."""
+    return execute(plan_query(query, store, config))
 
 
 def serialize_component(node: PatternNode) -> str:

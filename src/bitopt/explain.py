@@ -5,7 +5,7 @@ oriented key=value so golden tests survive additive changes."""
 from __future__ import annotations
 
 from .algebra import Query, serialize
-from .executor import EngineResult
+from .executor import EngineResult, Plan
 from .structure import Gosn, Got
 
 FORMAT_VERSION = 1
@@ -15,7 +15,9 @@ def _bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-def render_explain(query: Query, result: EngineResult, extra: "list[str] | None" = None) -> str:
+def render_explain(query: Query, result: Plan, extra: "list[str] | None" = None) -> str:
+    """The report of a run (an ``EngineResult``), or of a plan that was not
+    executed (DISTINCT's matrix path), which applied no best-match."""
     lines = [f"explain-format={FORMAT_VERSION}"]
     lines.append("section=query")
     lines.append(f"algebra={serialize(query)}")
@@ -24,7 +26,7 @@ def render_explain(query: Query, result: EngineResult, extra: "list[str] | None"
     lines.append("section=unf")
     lines.append(f"disjunct_count={len(result.disjuncts)}")
     lines.append(f"rule3_used={_bool(result.rule3_used)}")
-    lines.append(f"best_match_applied={_bool(result.best_match_applied)}")
+    lines.append(f"best_match_applied={_bool(isinstance(result, EngineResult) and result.best_match_applied)}")
     for label, schedule in result.schedules:
         lines.append(f"section=pruning {label}")
         lines.append(f"regime={schedule.regime}")

@@ -15,7 +15,8 @@ S-O(p), and the column read of a pattern with a constant object,
 
 A saved store is a directory holding ``dict.tsv``, one ``bm_so_<pid>.bin``
 per predicate and ``manifest.txt``: a format-version line, then one line per
-matrix file with its byte size and CRC-32. ``TripleStore.open`` checks every
+matrix file with its byte size and CRC-32. ``save`` writes a new directory
+beside it and renames that into place. ``TripleStore.open`` checks every
 file's size, checksum and header against the manifest and the dictionary
 but decodes no rows; a predicate's matrix is decoded, fully checked, on its
 first use.
@@ -24,7 +25,10 @@ first use.
 from __future__ import annotations
 
 import os
+import re
+import shutil
 import struct
+import tempfile
 import zlib
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -208,6 +212,7 @@ class Dictionary:
 
 SO_KIND_CODE = 0  # kind word of a stored matrix; only S-O matrices are stored
 MANIFEST_VERSION = "bitopt-store-format 2"  # first line of manifest.txt
+_STORE_FILE = re.compile(r"dict\.tsv|manifest\.txt|bm_so_\d+\.bin")
 
 
 class TripleStore:
@@ -313,23 +318,45 @@ class TripleStore:
     # -- persistence -----------------------------------------------------------
 
     def save(self, directory: str) -> list[str]:
-        """Write dict.tsv, one file per S-O BitMat and the manifest; returns
-        the matrix file names."""
-        os.makedirs(directory, exist_ok=True)
-        with open(os.path.join(directory, "dict.tsv"), "w", encoding="utf-8") as fh:
-            for idx, cls, term in self.dictionary.iter_entries():
-                fh.write(f"{idx}\t{cls}\t{term.n3()}\n")
-        names = []
-        lines = [MANIFEST_VERSION]
-        for pid, bm in self._so_matrices():
-            name = f"bm_so_{pid}.bin"
-            data = _encode_bitmat(bm)
-            with open(os.path.join(directory, name), "wb") as fh:
-                fh.write(data)
-            names.append(name)
-            lines.append(f"{name} {len(data)} {zlib.crc32(data)}")
-        with open(os.path.join(directory, "manifest.txt"), "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        """Write dict.tsv, one file per S-O BitMat and the manifest into a
+        new sibling directory and rename it into place, so a failed save
+        leaves the previous store whole. A directory holding anything but
+        store files is not replaced. Returns the matrix file names."""
+        target = os.path.abspath(directory)
+        if os.path.exists(target):
+            foreign = sorted(n for n in os.listdir(target) if not _STORE_FILE.fullmatch(n))
+            if foreign:
+                raise StoreError(f"{directory} holds files that are not part of a store: {', '.join(foreign)}")
+        parent = os.path.dirname(target)
+        os.makedirs(parent, exist_ok=True)
+        work = tempfile.mkdtemp(prefix=f".{os.path.basename(target)}.", dir=parent)
+        staged, previous = os.path.join(work, "new"), os.path.join(work, "old")
+        try:
+            os.mkdir(staged)
+            with open(os.path.join(staged, "dict.tsv"), "w", encoding="utf-8") as fh:
+                for idx, cls, term in self.dictionary.iter_entries():
+                    fh.write(f"{idx}\t{cls}\t{term.n3()}\n")
+            names = []
+            lines = [MANIFEST_VERSION]
+            for pid, bm in self._so_matrices():
+                name = f"bm_so_{pid}.bin"
+                data = _encode_bitmat(bm)
+                with open(os.path.join(staged, name), "wb") as fh:
+                    fh.write(data)
+                names.append(name)
+                lines.append(f"{name} {len(data)} {zlib.crc32(data)}")
+            with open(os.path.join(staged, "manifest.txt"), "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + "\n")
+            if os.path.exists(target):
+                os.rename(target, previous)
+            try:
+                os.rename(staged, target)
+            except BaseException:
+                if os.path.isdir(previous):
+                    os.rename(previous, target)
+                raise
+        finally:
+            shutil.rmtree(work, ignore_errors=True)
         return names
 
     @classmethod

@@ -3,10 +3,11 @@
 Queries are grown so the guarantees the engine relies on hold by
 construction: optional blocks anchor on a master-spine variable and stay
 internally connected, union branches bind identical variable sets, filters
-only mention in-scope variables. Acyclic shapes grow as trees (each new
-pattern shares exactly one variable with one earlier pattern); cyclic
-shapes close triangles either inside the absolute master or across a
-master-slave pair.
+only mention in-scope variables. A pattern with a constant subject or
+object joins the query through its one variable; none is ground. Acyclic
+shapes grow as trees (each new pattern shares exactly one variable with one
+earlier pattern); cyclic shapes close triangles either inside the absolute
+master or across a master-slave pair.
 """
 
 from __future__ import annotations
@@ -134,6 +135,10 @@ def _grow_bgp(b: _Builder, anchors: list[Variable], size: int, allow_cycle: bool
         roll = rng.random()
         if roll < 0.2:
             o = entity(rng.randrange(b.cfg.n_entities))
+        elif roll < 0.3 and not allow_cycle:
+            # (:e :p ?s): a constant subject, joined through its object. A
+            # master that closes a triangle keeps its fresh variables for it.
+            s, o = entity(rng.randrange(b.cfg.n_entities)), s
         else:
             o = b.fresh_var()
             local_vars.append(o)
@@ -152,8 +157,11 @@ def _optional_block(b: _Builder, anchor: Variable, size: int) -> Bgp:
     prev = anchor
     for _ in range(size):
         nxt = b.fresh_var()
-        if rng.random() < 0.25:
+        roll = rng.random()
+        if roll < 0.25:
             patterns.append(b.make_pattern(prev, b.rand_pred(), entity(rng.randrange(b.cfg.n_entities))))
+        elif roll < 0.4:
+            patterns.append(b.make_pattern(entity(rng.randrange(b.cfg.n_entities)), b.rand_pred(), prev))
         else:
             patterns.append(b.make_pattern(prev, b.rand_pred(), nxt))
             prev = nxt

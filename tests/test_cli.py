@@ -48,6 +48,44 @@ class TestLoad:
         bad.write_text("this is not a triple\n")
         assert main(["load", str(tmp_path / "s"), str(bad)]) == EXIT_IO
 
+    def test_failed_reload_keeps_previous_store(self, tmp_path, store_dir, capsys, monkeypatch):
+        import bitopt.store
+
+        qpath = write_query(tmp_path, Q1_TEXT)
+        assert main(["query", str(store_dir), qpath]) == EXIT_OK
+        before = capsys.readouterr().out
+        encode = bitopt.store._encode_bitmat
+        encoded = []
+
+        def failing(bm):
+            encoded.append(bm)
+            if len(encoded) == 2:
+                raise OSError("disk full")
+            return encode(bm)
+
+        monkeypatch.setattr(bitopt.store, "_encode_bitmat", failing)
+        movies = tmp_path / "m.nt"
+        movies.write_text(MOVIES_NT)
+        assert main(["load", str(store_dir), str(movies), "--force"]) == EXIT_IO
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fixture.nt", "m.nt", "query.rq", "store"]
+        assert main(["query", str(store_dir), qpath]) == EXIT_OK
+        assert capsys.readouterr().out == before
+
+    def test_reload_leaves_no_file_of_the_previous_store(self, tmp_path, store_dir):
+        data = tmp_path / "one.nt"
+        data.write_text(f"<{EX}a> <{EX}p> <{EX}b> .\n")
+        assert main(["load", str(store_dir), str(data), "--force"]) == EXIT_OK
+        assert sorted(p.name for p in store_dir.iterdir()) == ["bm_so_1.bin", "dict.tsv", "manifest.txt"]
+
+    def test_directory_with_other_files_not_replaced(self, tmp_path, capsys):
+        data = tmp_path / "d.nt"
+        data.write_text(SEINFELD_NT)
+        assert main(["load", str(tmp_path), str(data), "--force"]) == EXIT_IO
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "d.nt" in err[0], err
+        assert [p.name for p in tmp_path.iterdir()] == ["d.nt"]
+
     def test_store_path_is_a_file(self, tmp_path, capsys):
         data = tmp_path / "d.nt"
         data.write_text(SEINFELD_NT)
@@ -380,23 +418,30 @@ class TestResealedDamage:
 
 class TestExplainRunsOnce:
     def test_distinct_explain_evaluates_query_once(self, tmp_path, capsys, monkeypatch):
-        import bitopt.cli
         import bitopt.distinct
+        import bitopt.executor
 
         data = tmp_path / "m.nt"
         data.write_text(MOVIES_NT)
         directory = tmp_path / "movies"
         assert main(["load", str(directory), str(data)]) == EXIT_OK
-        calls = []
-        for module in (bitopt.cli, bitopt.distinct):
-            original = module.run_query
+        plans, joins = [], []
+        for module in (bitopt.executor, bitopt.distinct):
+            original = module.plan_query
 
             def counted(*args, _original=original, **kwargs):
-                calls.append(args[0])
+                plans.append(args[0])
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(module, "run_query", counted)
+            monkeypatch.setattr(module, "plan_query", counted)
+        original_run = bitopt.executor.MultiWayJoin.run
+
+        def counted_run(join):
+            joins.append(join)
+            return original_run(join)
+
+        monkeypatch.setattr(bitopt.executor.MultiWayJoin, "run", counted_run)
         qpath = write_query(tmp_path, MOVIE_QUERY, "movies.rq")
         assert main(["query", str(directory), qpath, "--explain"]) == EXIT_OK
-        assert "distinct.path=" in capsys.readouterr().err
-        assert len(calls) == 1
+        assert "distinct.path=bmm-bgp" in capsys.readouterr().err
+        assert len(plans) == 1 and len(joins) == 1

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from bitopt import distinct
+from bitopt import distinct, executor
 from bitopt.algebra import Query, Variable
 from bitopt.distinct import distinct_eval
 from bitopt.parser import parse
@@ -114,6 +114,53 @@ class TestDispatch:
         out = distinct_eval(parse(text), movie_store)
         assert out.path == path
         assert len(calls) == 1
+
+
+    @pytest.mark.parametrize(
+        "text,path,joins",
+        [
+            (MOVIE_QUERY, "bmm-bgp", 1),
+            (
+                "SELECT DISTINCT ?m ?d WHERE { ?m rdf:type :Movie . OPTIONAL { ?m :hasDirector ?d } }",
+                "bmm-bgp-opt",
+                1,
+            ),
+            (
+                "SELECT DISTINCT ?a ?b WHERE { ?a :hasActor ?b . ?b :hasDirector ?c . ?c :hasActor ?a }",
+                "naive",
+                1,
+            ),
+            (
+                "SELECT DISTINCT ?a WHERE { { ?m :hasActor ?a } UNION { ?m :hasDirector ?a } }",
+                "naive",
+                2,
+            ),
+        ],
+        ids=["bmm-bgp", "bmm-bgp-opt", "naive-cyclic", "naive-union"],
+    )
+    def test_planned_once_and_only_the_path_taken_joins(self, movie_store, monkeypatch, text, path, joins):
+        """The matrix path runs its covering-subgraph join and no base-query
+        join; the naive path runs one join per disjunct."""
+        plans, runs = [], []
+        for module in (distinct, executor):
+            real_plan = module.plan_query
+
+            def counted_plan(*args, _real=real_plan, **kwargs):
+                plans.append(args[0])
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, "plan_query", counted_plan)
+        real_run = executor.MultiWayJoin.run
+
+        def counted_run(join):
+            runs.append(join)
+            return real_run(join)
+
+        monkeypatch.setattr(executor.MultiWayJoin, "run", counted_run)
+        out = distinct_eval(parse(text), movie_store)
+        assert out.path == path
+        assert len(plans) == 1
+        assert len(runs) == joins
 
 
 class TestContractionSafety:

@@ -322,8 +322,8 @@ class TestOracleEquivalence:
 
 class TestJoinOrientation:
     """The join turns a matrix whose column variable an earlier matrix binds,
-    so no probe binds the column alone, and it leaves the loaded matrices
-    (``EngineResult.matrices``) as they were."""
+    so no probe binds the column alone, and it leaves every matrix it is
+    given as it was."""
 
     CONFIGS = [
         RunConfig(),
@@ -331,7 +331,7 @@ class TestJoinOrientation:
     ]
 
     def test_no_column_only_probe_and_loaded_matrices_unchanged(self, monkeypatch):
-        loaded: dict[int, tuple] = {}  # id of a matrix given to a join -> (row_var, col_var)
+        loaded: dict[int, tuple] = {}  # id of a matrix given to a join -> (it, row_var, col_var)
         column_only: list[str] = []
         turned_probes = 0
         original_init = MultiWayJoin.__init__
@@ -339,7 +339,7 @@ class TestJoinOrientation:
 
         def init(join, gosn, matrices, *args, **kwargs):
             for pm in matrices.values():
-                loaded[id(pm)] = (pm.row_var, pm.col_var)
+                loaded[id(pm)] = (pm, pm.row_var, pm.col_var)
             original_init(join, gosn, matrices, *args, **kwargs)
 
         def bindings(pm, bound, dictionary):
@@ -352,9 +352,9 @@ class TestJoinOrientation:
         monkeypatch.setattr(MultiWayJoin, "__init__", init)
         monkeypatch.setattr(PatternMatrix, "bindings", bindings)
 
-        def check(result):
-            for pm in result.matrices.values():
-                assert loaded[id(pm)] == (pm.row_var, pm.col_var), pm.label
+        def check():
+            for pm, row_var, col_var in loaded.values():
+                assert (pm.row_var, pm.col_var) == (row_var, col_var), pm.label
 
         cfg = GenConfig(p_optional=0.6, p_union=0.3, p_filter=0.3, p_cycle=0.25)
         dcfg = GenConfig(p_optional=0.5, acyclic_only=True, p_peer_join=0.0)
@@ -371,11 +371,29 @@ class TestJoinOrientation:
                 for config in self.CONFIGS:
                     loaded.clear()
                     try:
-                        result = distinct_eval(q, store, config).result if distinct else run_query(q, store, config)
+                        distinct_eval(q, store, config) if distinct else run_query(q, store, config)
                     except DisconnectedQueryError:
                         continue
                     ran += 1
-                    check(result)
+                    check()
         assert ran >= 160
         assert not column_only, column_only
         assert turned_probes > 0
+
+
+class TestPlanOnce:
+    def test_union_free_query_is_analyzed_once(self, filter_store, monkeypatch):
+        import bitopt.executor
+
+        calls = []
+        real = bitopt.executor.build_gosn
+
+        def counted(node):
+            calls.append(node)
+            return real(node)
+
+        monkeypatch.setattr(bitopt.executor, "build_gosn", counted)
+        for text in (Q1_TEXT, FILTER_QUERY):
+            calls.clear()
+            run_query(parse(text), filter_store)
+            assert len(calls) == 1, text
