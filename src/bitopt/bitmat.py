@@ -6,9 +6,9 @@ Each matrix row is kept in a hybrid encoding: alternating run lengths
 strictly smaller. All positions and row indexes are 1-based.
 
 Row and column dimensions are tagged with the coordinate space they range
-over (subject, object, predicate, or the 1-wide unit space of a sliced-out
-row). Subject and object spaces share ids 1..n_so for terms that occur on
-both sides; masks crossing the two spaces only intersect inside that range.
+over (subject, object, or the 1-wide unit space of a sliced-out row).
+Subject and object spaces share ids 1..n_so for terms that occur on both
+sides; masks crossing the two spaces only intersect inside that range.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from typing import Iterable, Iterator, Sequence
 
 S = "S"
 O = "O"
-P = "P"
 UNIT = "U"
 
 

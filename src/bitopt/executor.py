@@ -34,7 +34,7 @@ from .bitmat import transpose
 from .patmat import PatternMatrix, UnsupportedByIndexError
 from .pruning import PruneContext, PruneSchedule, load_matrices, prune_triples
 from .rewriter import ScopedConjunct, collect_scoped_conjuncts, to_unf, push_filters
-from .store import Coord, Dictionary, TripleStore
+from .store import Dictionary, TripleStore
 from .structure import (
     DisconnectedQueryError,
     Gosn,
@@ -242,8 +242,8 @@ class MultiWayJoin:
                         homes[v] = sid
         return homes
 
-    def run(self) -> Iterator[dict[Variable, "Coord | None"]]:
-        vmap: dict[Variable, "Coord | None"] = {}
+    def run(self) -> Iterator[dict[Variable, "int | None"]]:
+        vmap: dict[Variable, "int | None"] = {}
         status: dict[int, str] = {}
         yield from self._recurse(0, vmap, status)
 
@@ -311,7 +311,7 @@ class MultiWayJoin:
                 conjunct,
                 lambda v: None
                 if vmap.get(v) is None
-                else self.store.dictionary.term_of(vmap[v]),
+                else self.store.dictionary.term(vmap[v]),
             )
             if verdict is True:
                 continue
@@ -353,19 +353,6 @@ def _null_supernodes(sn_vars: dict[int, frozenset[Variable]], vmap, closure: set
                 vmap[v] = None
                 nulled += 1
     return nulled
-
-
-def nullification(
-    vmap: dict[Variable, "Coord | None"],
-    status: dict[int, str],
-    gosn: Gosn,
-    store: TripleStore,
-) -> dict[Variable, "Coord | None"]:
-    """Standalone nullification of one completed binding map; the join's
-    row hook runs the same ``_nullify_inconsistent``."""
-    out = dict(vmap)
-    _nullify_inconsistent(gosn, {sid: gosn.sn_vars(sid) for sid in gosn.supernodes}, out, status)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -496,12 +483,12 @@ def plan_query(query: Query, store: TripleStore, config: "RunConfig | None" = No
 
 
 def term_rows(
-    vmaps: Iterable[dict[Variable, "Coord | None"]], header: tuple[Variable, ...], dictionary: Dictionary
+    vmaps: Iterable[dict[Variable, "int | None"]], header: tuple[Variable, ...], dictionary: Dictionary
 ) -> Iterator[tuple["Term | None", ...]]:
-    """One row of terms over ``header`` per binding map; a variable the map
-    leaves unbound or NULL is None."""
+    """One row of terms over ``header`` per binding map of join keys; a
+    variable the map leaves unbound or NULL is None."""
     for vmap in vmaps:
-        yield tuple(None if vmap.get(v) is None else dictionary.term_of(vmap[v]) for v in header)
+        yield tuple(None if vmap.get(v) is None else dictionary.term(vmap[v]) for v in header)
 
 
 def execute(plan: Plan) -> EngineResult:

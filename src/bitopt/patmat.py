@@ -15,8 +15,7 @@ from typing import Iterator
 from . import bitmat
 from .algebra import Comparison, TriplePattern, Variable, eval_filter
 from .bitmat import BitArray, BitMat, COL_DIM, ROW_DIM, fold, unfold
-from .store import Coord, Dictionary, TripleStore
-from .terms import Term
+from .store import Dictionary, TripleStore
 
 
 class UnsupportedByIndexError(ValueError):
@@ -70,66 +69,52 @@ class PatternMatrix:
 
     # -- enumeration ----------------------------------------------------------
 
-    def bindings(self, bound: dict[Variable, "Coord | None"], dictionary: Dictionary) -> Iterator[dict[Variable, Coord]]:
-        """Enumerate extensions consistent with ``bound``. A NULL value for
-        one of this pattern's variables matches nothing. A column variable
+    def bindings(self, bound: dict[Variable, "int | None"], dictionary: Dictionary) -> Iterator[dict[Variable, int]]:
+        """Enumerate extensions consistent with ``bound``, binding join keys
+        (``Dictionary.key``). A NULL value, or the key of a term that cannot
+        occur on the variable's dimension, matches nothing. A column variable
         bound to a term needs the row variable bound too: the join orients
         each matrix so the variable it binds first sits on the rows."""
-        n_so = dictionary.n_so
+        bm = self.bm
         rv, cv = self.row_var, self.col_var
         diagonal = rv is not None and rv == cv
-
-        def coord_on(var, space):
-            if var is None:
-                return 1 if space == bitmat.UNIT else None
-            if var in bound:
-                c = bound[var]
-                if c is None:
-                    return 0  # NULL: no triple can match
-                on = c.on_dim(space, n_so)
-                return 0 if on is None else on
-            return None
-
-        r = coord_on(rv, self.bm.row_space)
-        c = coord_on(cv, self.bm.col_space) if not diagonal else r
-        if r == 0 or c == 0:
-            return
-        if self.bm.row_space == bitmat.UNIT:
-            r = 1
+        r = c = None
+        if rv is None:
+            r = 1  # the one row of a slice
+        elif rv in bound:
+            r = dictionary.position(bound[rv], bm.row_space)
+            if r is None:
+                return
+        if cv is None:
+            c = 1  # the one column of a ground pattern
+        elif diagonal:
+            c = r
+        elif cv in bound:
+            c = dictionary.position(bound[cv], bm.col_space)
+            if c is None:
+                return
         if r is not None and c is not None:
-            if self.bm.test(r, c):
+            if bm.test(r, c):
                 yield {}
             return
+        key = dictionary.key
         if r is not None:
-            mask = self.bm.row_bits(r)
+            mask = bm.row_bits(r)
             while mask:
                 low = mask & -mask
-                pos = low.bit_length()
                 mask ^= low
-                yield {cv: dictionary.canon(self.bm.col_space, pos)}
+                yield {cv: key(bm.col_space, low.bit_length())}
             return
-        for ridx in sorted(self.bm.rows):
-            row_coord = dictionary.canon(self.bm.row_space, ridx)
-            mask = self.bm.row_bits(ridx)
+        for ridx in sorted(bm.rows):
+            row_key = key(bm.row_space, ridx)
+            mask = bm.row_bits(ridx)
             while mask:
                 low = mask & -mask
-                pos = low.bit_length()
                 mask ^= low
                 if diagonal:
-                    yield {rv: row_coord}
+                    yield {rv: row_key}
                 else:
-                    out = {cv: dictionary.canon(self.bm.col_space, pos)}
-                    if rv is not None:
-                        out[rv] = row_coord
-                    yield out
-
-    def triple_bindings(self, dictionary: Dictionary) -> list[dict[Variable, Term]]:
-        """Term-level bindings of every surviving triple (for minimality
-        checks and diagnostics)."""
-        out = []
-        for binding in self.bindings({}, dictionary):
-            out.append({v: dictionary.term_of(c) for v, c in binding.items()})
-        return out
+                    yield {rv: row_key, cv: key(bm.col_space, low.bit_length())}
 
 
 def select_pattern_matrix(
@@ -211,7 +196,7 @@ def apply_loadtime_conjunct(pm: PatternMatrix, conjunct: Comparison, var: Variab
     mask = 0
     current = pm.fold_var(var)
     for pos in current.positions():
-        term = dictionary.term_of(dictionary.canon(space, pos))
+        term = dictionary.term(dictionary.key(space, pos))
         if eval_filter(conjunct, lambda v, t=term: t) is True:
             mask |= 1 << (pos - 1)
     pm.unfold_var(var, BitArray(space, width, mask), dictionary.n_so)

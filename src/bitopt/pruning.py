@@ -20,7 +20,7 @@ from .algebra import TriplePattern, Variable
 from .bitmat import BitArray, intersect_arrays
 from .patmat import PatternMatrix, apply_loadtime_conjunct, select_pattern_matrix
 from .rewriter import ScopedConjunct, is_loadtime
-from .store import TripleStore
+from .store import Dictionary, TripleStore
 from .structure import Gosn, Got, StructureReport, count_node_classes, dominating_neighbors
 
 GREEDY_ALL = "greedy"
@@ -56,10 +56,6 @@ class PruneSchedule:
         return steps
 
 
-def order_supernodes(gosn: Gosn) -> list[int]:
-    return gosn.topo_order()
-
-
 def pick_regime(report: StructureReport) -> str:
     if report.got_acyclic and report.supernodes_acyclic and report.supernodes_connected:
         return PER_SUPERNODE
@@ -76,40 +72,38 @@ def semi_join(
     target: PatternMatrix,
     source: PatternMatrix,
     join_vars: frozenset[Variable],
-    so_count: int,
+    dictionary: Dictionary,
 ) -> None:
     """Keep only target triples whose join-variable bindings occur in the
     source: fold both sides per variable, AND the masks, unfold the target.
     Shared variable pairs additionally require the pair itself to exist in
     the source."""
+    so_count = dictionary.n_so
     for var in sorted(join_vars, key=lambda v: v.name):
         beta: BitArray = target.fold_var(var)
         beta = intersect_arrays(beta, source.fold_var(var), so_count)
         target.unfold_var(var, beta, so_count)
     if len(join_vars) >= 2:
-        _pair_semi_join(target, source, tuple(sorted(join_vars, key=lambda v: v.name)), so_count)
+        _pair_semi_join(target, source, tuple(sorted(join_vars, key=lambda v: v.name)), dictionary)
 
 
 def _pair_semi_join(
     target: PatternMatrix,
     source: PatternMatrix,
     pair: tuple[Variable, ...],
-    n_so: int,
+    dictionary: Dictionary,
 ) -> None:
     # Both patterns bind both variables on S/O dimensions; keep target cells
-    # whose (a, b) coordinate pair appears in the source.
+    # whose (a, b) join-key pair appears in the source.
     a, b = pair[0], pair[1]
-    allowed: set[tuple] = set()
+    key = dictionary.key
+    allowed: set[tuple[int, int]] = set()
     src_rv, src_cv = source.row_var, source.col_var
-
-    def canonical(space: str, idx: int):
-        return ("so", idx) if idx <= n_so else (space, idx)
-
     for r, c in source.bm.cells():
-        bind = {src_rv: canonical(source.bm.row_space, r), src_cv: canonical(source.bm.col_space, c)}
+        bind = {src_rv: key(source.bm.row_space, r), src_cv: key(source.bm.col_space, c)}
         allowed.add((bind[a], bind[b]))
     for r, c in list(target.bm.cells()):
-        bind = {target.row_var: canonical(target.bm.row_space, r), target.col_var: canonical(target.bm.col_space, c)}
+        bind = {target.row_var: key(target.bm.row_space, r), target.col_var: key(target.bm.col_space, c)}
         if (bind[a], bind[b]) not in allowed:
             target.bm.set_row_bits(r, target.bm.row_bits(r) & ~(1 << (c - 1)))
 
@@ -122,10 +116,6 @@ class PruneContext:
     report: StructureReport
     matrices: dict[int, PatternMatrix]
 
-    @property
-    def n_so(self) -> int:
-        return self.store.dictionary.n_so
-
     def count(self, idx: int) -> int:
         return self.matrices[idx].count
 
@@ -134,7 +124,7 @@ class PruneContext:
             self.matrices[step.target],
             self.matrices[step.source],
             step.join_vars,
-            self.n_so,
+            self.store.dictionary,
         )
 
 
@@ -187,9 +177,9 @@ def load_matrices(
                     my_sid,
                 ) in gosn.uni_edges
                 if is_peer or is_master:
-                    foldable = [v for v in label if _on_so_dim(pm, v) and _on_so_dim(matrices[other], v)]
+                    foldable = [v for v in label if v in pm.vars() and v in matrices[other].vars()]
                     if foldable:
-                        semi_join(pm, matrices[other], frozenset(foldable), store.dictionary.n_so)
+                        semi_join(pm, matrices[other], frozenset(foldable), store.dictionary)
         matrices[tp.index] = pm
     return matrices, applied
 
@@ -198,14 +188,6 @@ def _scope_patterns(sc: ScopedConjunct):
     from .algebra import node_patterns
 
     return node_patterns(sc.scope)
-
-
-def _on_so_dim(pm: PatternMatrix, var: Variable) -> bool:
-    try:
-        pm.dim_of(var)
-        return True
-    except KeyError:
-        return False
 
 
 def _first_join_var(tp: TriplePattern, got: Got) -> "Variable | None":
@@ -350,7 +332,7 @@ def prune_triples(ctx: PruneContext) -> PruneSchedule:
 def _drive(ctx: PruneContext, execute: bool, count_of) -> PruneSchedule:
     gosn = ctx.gosn
     regime = pick_regime(ctx.report)
-    sn_order = order_supernodes(gosn)
+    sn_order = gosn.topo_order()
     schedule = PruneSchedule(regime, sn_order)
     if regime == GREEDY_ALL:
         all_ids = [tp.index for sn in gosn.supernodes.values() for tp in sn.patterns]

@@ -31,7 +31,6 @@ import struct
 import tempfile
 import zlib
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from . import bitmat
@@ -47,37 +46,6 @@ P_CLASS = "p"
 
 class StoreError(ValueError):
     pass
-
-
-@dataclass(frozen=True, slots=True)
-class Coord:
-    """Canonical term coordinate: id plus the class that disambiguates it.
-
-    Ids above n_so are reused between the subject-only and object-only
-    ranges, so the class is part of the identity.
-    """
-
-    cls: str
-    idx: int
-
-    def on_subject_dim(self, n_so: int) -> "int | None":
-        if self.cls == SO_CLASS or self.cls == S_CLASS:
-            return self.idx
-        return None
-
-    def on_object_dim(self, n_so: int) -> "int | None":
-        if self.cls == SO_CLASS or self.cls == O_CLASS:
-            return self.idx
-        return None
-
-    def on_dim(self, space: str, n_so: int) -> "int | None":
-        if space == bitmat.S:
-            return self.on_subject_dim(n_so)
-        if space == bitmat.O:
-            return self.on_object_dim(n_so)
-        if space == bitmat.P:
-            return self.idx if self.cls == P_CLASS else None
-        return None
 
 
 class Dictionary:
@@ -173,31 +141,33 @@ class Dictionary:
     def predicate_term(self, idx: int) -> Term:
         return self._pred_terms[idx]
 
-    def coord(self, term: Term) -> "Coord | None":
-        """Canonical coordinate of a term on the S/O dimensions, if any."""
-        sid = self._sub_ids.get(term)
-        if sid is not None:
-            return Coord(SO_CLASS if sid <= self.n_so else S_CLASS, sid)
-        oid = self._obj_ids.get(term)
-        if oid is not None:
-            return Coord(O_CLASS, oid)
-        return None
+    # -- join keys -----------------------------------------------------------
+    #
+    # The join names a bound S/O term by one int: its subject id when the term
+    # occurs as a subject (the shared ids 1..n_so included), minus its object
+    # id when it occurs only as an object. Ids above n_so are reused between
+    # the subject-only and object-only ranges; the sign keeps them apart.
 
-    def canon(self, space: str, idx: int) -> Coord:
+    def key(self, space: str, pos: int) -> int:
+        """Join key of the term at ``pos`` of a subject or object dimension."""
+        if space == bitmat.O and pos > self.n_so:
+            return -pos
+        return pos
+
+    def position(self, key: "int | None", space: str) -> "int | None":
+        """Position of the term named by ``key`` on a subject or object
+        dimension; None for a NULL key or a term that cannot occur there."""
+        if key is None:
+            return None
         if space == bitmat.S:
-            return Coord(SO_CLASS if idx <= self.n_so else S_CLASS, idx)
-        if space == bitmat.O:
-            return Coord(SO_CLASS if idx <= self.n_so else O_CLASS, idx)
-        if space == bitmat.P:
-            return Coord(P_CLASS, idx)
-        raise StoreError(f"no canonical coordinate in space {space!r}")
+            return key if key > 0 else None
+        if key < 0:
+            return -key
+        return key if key <= self.n_so else None
 
-    def term_of(self, coord: Coord) -> Term:
-        if coord.cls == P_CLASS:
-            return self._pred_terms[coord.idx]
-        if coord.cls == O_CLASS:
-            return self._obj_terms[coord.idx]
-        return self._sub_terms[coord.idx]
+    def term(self, key: int) -> Term:
+        """The term a join key names."""
+        return self._sub_terms[key] if key > 0 else self._obj_terms[-key]
 
     def iter_entries(self) -> Iterator[tuple[int, str, Term]]:
         for idx in sorted(self._sub_terms):

@@ -147,6 +147,19 @@ def engine_relation(query, store, config=None):
     return run_query(query, store, config).relation.project(query.projection)
 
 
+def cell_bindings(pm, dictionary) -> list[dict]:
+    """Term bindings of every triple a working matrix holds."""
+    out = []
+    for r, c in pm.bm.cells():
+        binding = {}
+        if pm.row_var is not None:
+            binding[pm.row_var] = dictionary.term(dictionary.key(pm.bm.row_space, r))
+        if pm.col_var is not None:
+            binding[pm.col_var] = dictionary.term(dictionary.key(pm.bm.col_space, c))
+        out.append(binding)
+    return out
+
+
 def normalized(relation) -> frozenset:
     from bitopt.executor import best_match
 

@@ -32,6 +32,7 @@ from conftest import (
     Q1_TEXT,
     Q2_TEXT,
     SEINFELD_NT,
+    cell_bindings,
     engine_relation,
     normalized,
     oracle_relation,
@@ -214,7 +215,7 @@ def test_criterion_5_minimality():
         oracle_rows = oracle_eval(query, store.term_triples()).rows
         for tp in node_patterns(query.root):
             pm = result.matrices[tp.index]
-            for binding in pm.triple_bindings(store.dictionary):
+            for binding in cell_bindings(pm, store.dictionary):
                 if not any(
                     all(row.get(v) == t for v, t in binding.items())
                     for row in oracle_rows

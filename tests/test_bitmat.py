@@ -254,6 +254,6 @@ class TestTransposeAndProduct:
 
     def test_dimension_mismatch_rejected(self):
         a = bitmat_from_cells("SO", 1, bitmat.S, bitmat.O, 4, 4, [(1, 1)])
-        b = bitmat_from_cells("PS", 2, bitmat.P, bitmat.S, 4, 4, [(1, 1)])
+        b = bitmat_from_cells("ROW", 2, bitmat.UNIT, bitmat.S, 4, 4, [(1, 1)])
         with pytest.raises(DimensionMismatchError):
             bmm(a, b, so_count=4)

@@ -115,7 +115,7 @@ class TestGreedyAbsRegime:
     def test_randomized_cyclic_masters(self):
         cfg = GenConfig(p_optional=0.9, p_cycle=0.9, p_peer_join=0.0)
         hits = 0
-        for seed in range(80):
+        for seed in range(200):
             rng = random.Random(seed)
             store = TripleStore.from_ntriples(random_store_text(rng, cfg))
             q = random_query(rng, cfg)
@@ -130,7 +130,7 @@ class TestGreedyAbsRegime:
             assert normalized(result.relation.project(q.projection)) == normalized(
                 oracle_relation(q, store)
             ), f"seed {seed}"
-        assert hits >= 5
+        assert hits >= 10  # 14 of the 200 seeds take the regime
 
 
 class TestEquivalenceClassAcyclicButNotReducible:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bitopt import bitmat
 from bitopt.algebra import Query, Variable, coalesce_bgps
 from bitopt.distinct import distinct_eval
 from bitopt.executor import (
@@ -41,6 +42,10 @@ from conftest import (
     oracle_relation,
     rows_of,
 )
+
+# The unpruned engine in textual join order with nullification and
+# best-match forced on: no pruning hides a join fault from the oracle.
+TEXTUAL_ORDER = RunConfig(prune=False, unsafe_order=True, nullify="on", best_match="on")
 
 
 class TestStps:
@@ -232,41 +237,41 @@ class TestSubsumption:
 
 
 class TestStandaloneNullification:
+    """The join's row hook, ``_nullify_inconsistent``, on binding maps of
+    join keys."""
+
+    @staticmethod
+    def _nullify(vmap, status):
+        from bitopt.executor import _nullify_inconsistent
+
+        gosn = build_gosn(coalesce_bgps(parse(EXCEPTION2_QUERY).root))
+        out = dict(vmap)
+        _nullify_inconsistent(gosn, {sid: gosn.sn_vars(sid) for sid in gosn.supernodes}, out, status)
+        return out
+
+    @staticmethod
+    def _vmap(store, a, b, c):
+        # a is a subject only, b an object only, c both.
+        d = store.dictionary
+        return {
+            Variable("a"): d.key(bitmat.S, d.subject_id(Iri(EX + a))),
+            Variable("b"): d.key(bitmat.O, d.object_id(Iri(EX + b))),
+            Variable("c"): d.key(bitmat.S, d.subject_id(Iri(EX + c))),
+        }
+
     def test_nulls_mixed_supernode_and_closure(self, exception2_store):
-        from bitopt.executor import BOUND, FAILED, nullification
-        from bitopt.algebra import coalesce_bgps
-        from bitopt.structure import build_gosn
+        from bitopt.executor import BOUND, FAILED
 
-        q = parse(EXCEPTION2_QUERY)
-        gosn = build_gosn(coalesce_bgps(q.root))
-        d = exception2_store.dictionary
-        from bitopt.terms import Iri
-
-        def coord(name):
-            return d.coord(Iri(EX + name))
-
-        vmap = {Variable("a"): coord("a1"), Variable("b"): coord("b1"), Variable("c"): coord("c1")}
-        status = {1: BOUND, 2: BOUND, 3: FAILED}
-        out = nullification(vmap, status, gosn, exception2_store)
+        vmap = self._vmap(exception2_store, "a1", "b1", "c1")
+        out = self._nullify(vmap, {1: BOUND, 2: BOUND, 3: FAILED})
         assert out[Variable("c")] is None
-        assert out[Variable("a")] == coord("a1") and out[Variable("b")] == coord("b1")
+        assert out[Variable("a")] == vmap[Variable("a")] and out[Variable("b")] == vmap[Variable("b")]
 
     def test_consistent_row_unchanged(self, exception2_store):
-        from bitopt.executor import BOUND, nullification
-        from bitopt.algebra import coalesce_bgps
-        from bitopt.structure import build_gosn
-        from bitopt.terms import Iri
+        from bitopt.executor import BOUND
 
-        q = parse(EXCEPTION2_QUERY)
-        gosn = build_gosn(coalesce_bgps(q.root))
-        d = exception2_store.dictionary
-        vmap = {
-            Variable("a"): d.coord(Iri(EX + "a1")),
-            Variable("b"): d.coord(Iri(EX + "b2")),
-            Variable("c"): d.coord(Iri(EX + "c1")),
-        }
-        status = {1: BOUND, 2: BOUND, 3: BOUND}
-        assert nullification(dict(vmap), status, gosn, exception2_store) == vmap
+        vmap = self._vmap(exception2_store, "a1", "b2", "c1")
+        assert self._nullify(vmap, {1: BOUND, 2: BOUND, 3: BOUND}) == vmap
 
 
 class TestSkippableNullificationIsNoOp:
@@ -312,12 +317,45 @@ class TestOracleEquivalence:
             store = TripleStore.from_ntriples(random_store_text(rng, cfg))
             q = random_query(rng, cfg)
             try:
-                engine = engine_relation(q, store)
+                engines = [engine_relation(q, store, config) for config in (RunConfig(), TEXTUAL_ORDER)]
             except DisconnectedQueryError:
                 continue
             ran += 1
-            assert normalized(engine) == normalized(oracle_relation(q, store)), f"seed {seed}"
+            expected = normalized(oracle_relation(q, store))
+            assert [normalized(e) for e in engines] == [expected, expected], f"seed {seed}"
         assert ran >= 40
+
+
+class TestReusedIdRange:
+    """Ids above n_so name a subject-only term on the subject dimension and
+    an object-only term on the object dimension. Here s1 and o1 share id
+    n_so+1, so a join that passes a variable between the two dimensions
+    must not take one for the other, with or without pruning."""
+
+    NT = f"""\
+<{EX}b> <{EX}p> <{EX}o1> .
+<{EX}s1> <{EX}q> <{EX}z> .
+<{EX}a> <{EX}p> <{EX}b> .
+<{EX}b> <{EX}q> <{EX}c> .
+"""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "SELECT ?x ?y ?z WHERE { ?x :p ?y . ?y :q ?z . }",
+            "SELECT ?x ?y ?z WHERE { ?y :q ?z . ?x :p ?y . }",
+        ],
+        ids=["object-then-subject", "subject-then-object"],
+    )
+    @pytest.mark.parametrize("config", [RunConfig(), TEXTUAL_ORDER], ids=["default", "textual"])
+    def test_join_keeps_subject_only_and_object_only_apart(self, text, config):
+        store = TripleStore.from_ntriples(self.NT)
+        d = store.dictionary
+        assert d.subject_id(Iri(EX + "s1")) == d.object_id(Iri(EX + "o1")) == d.n_so + 1
+        q = parse(text)
+        engine = engine_relation(q, store, config)
+        assert rows_of(engine) == [("a", "b", "c")]
+        assert normalized(engine) == normalized(oracle_relation(q, store))
 
 
 class TestJoinOrientation:
@@ -325,10 +363,7 @@ class TestJoinOrientation:
     so no probe binds the column alone, and it leaves every matrix it is
     given as it was."""
 
-    CONFIGS = [
-        RunConfig(),
-        RunConfig(prune=False, unsafe_order=True, nullify="on", best_match="on"),
-    ]
+    CONFIGS = [RunConfig(), TEXTUAL_ORDER]
 
     def test_no_column_only_probe_and_loaded_matrices_unchanged(self, monkeypatch):
         loaded: dict[int, tuple] = {}  # id of a matrix given to a join -> (it, row_var, col_var)

@@ -15,7 +15,6 @@ from bitopt.pruning import (
     PruneContext,
     build_schedule,
     load_matrices,
-    order_supernodes,
     pick_regime,
     prune_triples,
     semi_join,
@@ -25,7 +24,7 @@ from bitopt.structure import build_gosn, build_got, classify
 from bitopt.terms import Iri
 from bitopt.workload import GenConfig, random_query, random_store_text
 
-from conftest import EX, EXCEPTION2_QUERY, Q1_TEXT, SEINFELD_NT, local
+from conftest import EX, EXCEPTION2_QUERY, Q1_TEXT, SEINFELD_NT, cell_bindings, local
 
 
 def prepare(text, store, prune=True):
@@ -42,7 +41,7 @@ def prepare(text, store, prune=True):
 class TestOrdering:
     def test_masters_before_slaves(self, seinfeld_store):
         _, ctx = prepare(Q1_TEXT, seinfeld_store)
-        order = order_supernodes(ctx.gosn)
+        order = ctx.gosn.topo_order()
         assert order[0] == ctx.gosn.abs_id
         assert order == sorted(order, key=lambda sid: len(ctx.gosn.masters[sid]))
 
@@ -55,7 +54,7 @@ class TestOrdering:
         }
         """
         _, ctx = prepare(text, store)
-        order = order_supernodes(ctx.gosn)
+        order = ctx.gosn.topo_order()
         assert len(order) == 3
         for earlier, later in zip(order, order[1:]):
             assert earlier in ctx.gosn.masters[later] or not ctx.gosn.masters[later]
@@ -121,9 +120,9 @@ class TestSemiJoinExecution:
     def test_friend_transfer_keeps_both(self, seinfeld_store):
         _, ctx = prepare(Q1_TEXT, seinfeld_store, prune=False)
         t2, t1 = ctx.matrices[2], ctx.matrices[1]
-        semi_join(t2, t1, frozenset(t1.vars()) & frozenset(t2.vars()), ctx.n_so)
+        semi_join(t2, t1, frozenset(t1.vars()) & frozenset(t2.vars()), seinfeld_store.dictionary)
         subjects = {
-            local(seinfeld_store.dictionary.term_of(b[t2.pattern.s]))
+            local(seinfeld_store.dictionary.term(b[t2.pattern.s]))
             for b in (dict(x) for x in t2.bindings({}, seinfeld_store.dictionary))
         }
         assert subjects == {"Julia", "Larry"}
@@ -132,10 +131,10 @@ class TestSemiJoinExecution:
         _, ctx = prepare(Q1_TEXT, seinfeld_store, prune=False)
         t2, t3 = ctx.matrices[2], ctx.matrices[3]
         shared = frozenset(t2.vars()) & frozenset(t3.vars())
-        semi_join(t2, t3, shared, ctx.n_so)
+        semi_join(t2, t3, shared, seinfeld_store.dictionary)
         rows = [
             tuple(sorted((str(v), local(t)) for v, t in b.items()))
-            for b in t2.triple_bindings(seinfeld_store.dictionary)
+            for b in cell_bindings(t2, seinfeld_store.dictionary)
         ]
         assert rows == [(("?friend", "Julia"), ("?sitcom", "Seinfeld"))]
 
@@ -143,7 +142,7 @@ class TestSemiJoinExecution:
         _, ctx = prepare(Q1_TEXT, seinfeld_store, prune=False)
         t2 = ctx.matrices[2]
         before = t2.count
-        semi_join(t2, t2, frozenset(t2.vars()), ctx.n_so)
+        semi_join(t2, t2, frozenset(t2.vars()), seinfeld_store.dictionary)
         assert t2.count == before
 
 
@@ -152,7 +151,7 @@ class TestPruneTriples:
         q, ctx = prepare(Q1_TEXT, seinfeld_store)
         prune_triples(ctx)
         assert ctx.matrices[1].count == 2  # masters keep both friends
-        t2_rows = ctx.matrices[2].triple_bindings(seinfeld_store.dictionary)
+        t2_rows = cell_bindings(ctx.matrices[2], seinfeld_store.dictionary)
         assert len(t2_rows) == 1 and local(list(t2_rows[0].values())[0]) in ("Julia", "Seinfeld")
 
     def test_empty_match_is_not_an_error(self, seinfeld_store):
@@ -217,7 +216,7 @@ class TestPruneTriples:
             oracle_rows = oracle_eval(q, store.term_triples()).rows
             for tp in node_patterns(q.root):
                 pm = result.matrices[tp.index]
-                for binding in pm.triple_bindings(store.dictionary):
+                for binding in cell_bindings(pm, store.dictionary):
                     assert any(
                         all(row.get(v) == t for v, t in binding.items())
                         for row in oracle_rows
