@@ -18,7 +18,9 @@ ran other than one join per disjunct. Finally saves each random store,
 reopens it (so every matrix is decoded on its predicate's first use),
 compares the engine on the reopened store with the brute-force evaluator on
 the store as built, and counts the row reads (constant subject) and column
-reads (constant object) the reopened stores served.
+reads (constant object) the reopened stores served and the terms their
+dictionaries built from ``dict.tsv`` lines (only the ids a query emits or
+filters on need one); it fails if ``open`` itself built any term.
 
 Usage: python scripts/agreement_experiment.py [n_queries] [seed]
 """
@@ -30,6 +32,7 @@ import time
 from collections import Counter
 from contextlib import contextmanager
 
+import bitopt.store
 from bitopt.algebra import Query
 from bitopt.distinct import distinct_eval
 from bitopt.executor import MultiWayJoin, Relation, RunConfig, best_match, run_query
@@ -77,14 +80,22 @@ def engine_run(
         seed += 1
         store = TripleStore.from_ntriples(random_store_text(rng, cfg))
         query = random_query(rng, cfg)
-        engine_store = store if workdir is None else reopened(store, workdir)
-        try:
-            result = run_query(query, engine_store, config)
-        except DisconnectedQueryError:
-            stats["rejected-cartesian"] += 1
-            continue
+        with counting_terms() as built:
+            engine_store = store if workdir is None else reopened(store, workdir)
+            built_at_open = built[0]
+            try:
+                result = run_query(query, engine_store, config)
+            except DisconnectedQueryError:
+                stats["rejected-cartesian"] += 1
+                continue
         stats["ran"] += 1
         if workdir is not None:
+            stats["terms built"] += built[0]
+            d = engine_store.dictionary
+            stats["dictionary lines"] += d.n_s + d.n_o - d.n_so + d.n_p
+            if built_at_open:
+                stats["OPEN-BUILT-TERMS"] += 1
+                print(f"open built {built_at_open} terms at seed {seed - 1}")
             for kind, _ in engine_store._cache:
                 if kind in ("SO_ROW", "SO_COL"):
                     stats[f"{kind} reads"] += 1
@@ -99,6 +110,24 @@ def engine_run(
             stats["MISMATCH"] += 1
             print(f"mismatch at seed {seed - 1} config={config} reopened={workdir is not None}")
     return stats
+
+
+@contextmanager
+def counting_terms():
+    """Count the terms dictionaries build from ``dict.tsv`` lines in the
+    yielded one-element list."""
+    calls = [0]
+    parse = bitopt.store._parse_rendered_term
+
+    def counted(rendered):
+        calls[0] += 1
+        return parse(rendered)
+
+    bitopt.store._parse_rendered_term = counted
+    try:
+        yield calls
+    finally:
+        bitopt.store._parse_rendered_term = parse
 
 
 @contextmanager
@@ -176,8 +205,15 @@ def main():
     started = time.perf_counter()
     with tempfile.TemporaryDirectory() as workdir:
         rstats = engine_run(total, base_seed, workdir=workdir)
+    rstats.setdefault("OPEN-BUILT-TERMS", 0)
     report("reopened store", rstats, time.perf_counter() - started)
-    if any(s["MISMATCH"] for s in (stats, tstats, dstats, rstats)) or dstats["JOIN-COUNT"]:
+    ran = max(rstats["ran"], 1)
+    print(
+        f"  {'terms built/query':>20}: {rstats['terms built'] / ran:.2f}"
+        f" of {rstats['dictionary lines'] / ran:.2f} dictionary lines (mean)"
+    )
+    failed = dstats["JOIN-COUNT"] or rstats["OPEN-BUILT-TERMS"]
+    if any(s["MISMATCH"] for s in (stats, tstats, dstats, rstats)) or failed:
         sys.exit(1)
 
 

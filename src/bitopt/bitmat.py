@@ -295,13 +295,21 @@ class BitMat:
         row = self.rows.get(idx)
         return row_mask(row) if row is not None else 0
 
-    def set_row_bits(self, idx: int, mask: int) -> None:
-        old = self.row_bits(idx)
-        if mask:
-            self.rows[idx] = row_from_mask(mask, self.n_cols)
+    def mask_row(self, idx: int, keep: int) -> None:
+        """Clear the bits of row ``idx`` that are 0 in ``keep``. The row is
+        decoded once, and re-encoded only when it loses a bit."""
+        row = self.rows.get(idx)
+        if row is None:
+            return
+        old = row_mask(row)
+        new = old & keep
+        if new == old:
+            return
+        if new:
+            self.rows[idx] = row_from_mask(new, self.n_cols)
         else:
-            self.rows.pop(idx, None)
-        self.triple_count += mask.bit_count() - old.bit_count()
+            del self.rows[idx]
+        self.triple_count -= old.bit_count() - new.bit_count()
 
     def cells(self) -> Iterator[tuple[int, int]]:
         for r in sorted(self.rows):
@@ -360,11 +368,11 @@ def unfold(bm: BitMat, mask: BitArray, retain: str, so_count: int) -> None:
     if retain == ROW_DIM:
         keep = align_mask(mask, bm.row_space, bm.n_rows, so_count)
         for r in [r for r in bm.rows if not keep >> (r - 1) & 1]:
-            bm.set_row_bits(r, 0)
+            bm.mask_row(r, 0)
     elif retain == COL_DIM:
         keep = align_mask(mask, bm.col_space, bm.n_cols, so_count)
         for r in list(bm.rows):
-            bm.set_row_bits(r, bm.row_bits(r) & keep)
+            bm.mask_row(r, keep)
     else:
         raise DimensionMismatchError(f"retain must be 'row' or 'column', got {retain!r}")
 

@@ -14,7 +14,7 @@ from typing import Iterator
 
 from . import bitmat
 from .algebra import Comparison, TriplePattern, Variable, eval_filter
-from .bitmat import BitArray, BitMat, COL_DIM, ROW_DIM, fold, unfold
+from .bitmat import BitArray, BitMat, COL_DIM, ROW_DIM, bitmat_from_cells, fold, unfold
 from .store import Dictionary, TripleStore
 
 
@@ -150,7 +150,7 @@ def select_pattern_matrix(
             diag = BitArray(bitmat.S, d.n_s, (1 << d.n_so) - 1)
             pm.unfold_var(tp.s, diag, d.n_so)
             for r in list(pm.bm.rows):
-                pm.bm.set_row_bits(r, pm.bm.row_bits(r) & (1 << (r - 1)))
+                pm.bm.mask_row(r, 1 << (r - 1))
             return pm
         kind = "SO" if first_join_var is None or first_join_var == tp.s else "OS"
         bm = _so_slice(store, pid, kind)
@@ -172,10 +172,8 @@ def select_pattern_matrix(
     # Ground pattern: presence bit.
     sid = d.subject_id(tp.s)
     oid = d.object_id(tp.o)
-    bm = BitMat("ROW", 0, bitmat.UNIT, bitmat.UNIT, 1, 1)
-    if pid is not None and sid is not None and oid is not None:
-        if store.bitmat("SO", pid).test(sid, oid):
-            bm.set_row_bits(1, 1)
+    present = None not in (pid, sid, oid) and store.bitmat("SO", pid).test(sid, oid)
+    bm = bitmat_from_cells("ROW", 0, bitmat.UNIT, bitmat.UNIT, 1, 1, [(1, 1)] if present else [])
     return PatternMatrix(tp, None, None, bm)
 
 

@@ -105,7 +105,7 @@ def _pair_semi_join(
     for r, c in list(target.bm.cells()):
         bind = {target.row_var: key(target.bm.row_space, r), target.col_var: key(target.bm.col_space, c)}
         if (bind[a], bind[b]) not in allowed:
-            target.bm.set_row_bits(r, target.bm.row_bits(r) & ~(1 << (c - 1)))
+            target.bm.mask_row(r, ~(1 << (c - 1)))
 
 
 @dataclass

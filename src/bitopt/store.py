@@ -14,12 +14,16 @@ S-O(p), and the column read of a pattern with a constant object,
 ``(?s :p :o)``, tests bit o in every stored row of S-O(p).
 
 A saved store is a directory holding ``dict.tsv``, one ``bm_so_<pid>.bin``
-per predicate and ``manifest.txt``: a format-version line, then one line per
-matrix file with its byte size and CRC-32. ``save`` writes a new directory
-beside it and renames that into place. ``TripleStore.open`` checks every
-file's size, checksum and header against the manifest and the dictionary
-but decodes no rows; a predicate's matrix is decoded, fully checked, on its
-first use.
+per predicate and ``manifest.txt``: a format-version line, a ``dict.tsv``
+line with its byte size, CRC-32 and the counts n_s, n_o, n_so and n_p, then
+one line per matrix file with its byte size and CRC-32. ``save`` writes a
+new directory beside it and renames that into place. ``TripleStore.open``
+checks every file's size and checksum against the manifest, the
+dictionary's line count and each matrix header against the counts, but
+builds no term and decodes no rows. The dictionary stays the bytes of
+``dict.tsv``: it resolves only the terms a query names and the ids it
+emits, each checked when first read, and a predicate's matrix is decoded,
+fully checked, on its first use.
 """
 
 from __future__ import annotations
@@ -43,103 +47,157 @@ S_CLASS = "s"
 O_CLASS = "o"
 P_CLASS = "p"
 
+# Lookup roles and the dict.tsv classes that hold an id in each.
+S_ROLE, O_ROLE, P_ROLE = bitmat.S, bitmat.O, "P"
+_ROLE_CLASSES = {S_ROLE: (b"\tso", b"\ts"), O_ROLE: (b"\tso", b"\to"), P_ROLE: (b"\tp",)}
+
 
 class StoreError(ValueError):
     pass
 
 
 class Dictionary:
-    """Bidirectional term/id mapping honoring the shared S/O space."""
+    """Term/id mapping over the bytes of ``dict.tsv``, honoring the shared
+    S/O space.
 
-    def __init__(self):
-        self._sub_ids: dict[Term, int] = {}
-        self._obj_ids: dict[Term, int] = {}
-        self._pred_ids: dict[Term, int] = {}
-        self._sub_terms: dict[int, Term] = {}
-        self._obj_terms: dict[int, Term] = {}
-        self._pred_terms: dict[int, Term] = {}
-        self.n_so = 0
+    The file holds one line per id, its id, class and rendered term
+    separated by tabs, in a fixed order: the shared ids 1..n_so (class
+    ``so``), the subject-only ids n_so+1..n_s (``s``), the object-only ids
+    n_so+1..n_o (``o``), then the predicate ids 1..n_p (``p``). So an id
+    gives its line, and a line's place gives the id and class it must hold.
+    Nothing is parsed up front: a term is looked up by searching for its
+    rendered form as a whole line field, an id by reading its line, and both
+    results are cached. A line that does not hold the id and class its place
+    demands, or whose term does not parse back to the same rendering, raises
+    StoreError when a lookup first reads it.
+    """
+
+    def __init__(self, data: bytes, n_s: int, n_o: int, n_so: int, n_p: int, source: str = "dict.tsv"):
+        self.data = data  # the bytes of dict.tsv, as written by ``save``
+        self.n_s, self.n_o, self.n_so, self.n_p = n_s, n_o, n_so, n_p
+        self.source = source  # names the file in error messages
+        self._lines: "list[bytes] | None" = None  # data split on first id -> term lookup
+        self._terms: dict[int, Term] = {}  # line index -> term
+        # Role -> term -> id, or None for a term that has no id in that role.
+        self._ids: dict[str, dict[Term, "int | None"]] = {S_ROLE: {}, O_ROLE: {}, P_ROLE: {}}
 
     @classmethod
     def build(cls, triples: Iterable[tuple[Term, Term, Term]]) -> "Dictionary":
         # Two passes: classify terms first, then assign ids in first-appearance
         # order so the shared range 1..n_so comes out dense.
-        triples = list(triples)
-        subjects: list[Term] = []
-        objects: list[Term] = []
-        preds: list[Term] = []
-        seen_s: set[Term] = set()
-        seen_o: set[Term] = set()
-        seen_p: set[Term] = set()
+        subjects: dict[Term, None] = {}
+        objects: dict[Term, None] = {}
+        preds: dict[Term, None] = {}
         for s, p, o in triples:
-            if s not in seen_s:
-                seen_s.add(s)
-                subjects.append(s)
-            if o not in seen_o:
-                seen_o.add(o)
-                objects.append(o)
-            if p not in seen_p:
-                seen_p.add(p)
-                preds.append(p)
-        d = cls()
-        shared = seen_s & seen_o
-        d.n_so = len(shared)
-        next_id = 1
-        for term in subjects:  # shared terms in first-appearance-as-subject order
-            if term in shared:
-                d._sub_ids[term] = d._obj_ids[term] = next_id
-                d._sub_terms[next_id] = d._obj_terms[next_id] = term
-                next_id += 1
-        nid = d.n_so + 1
-        for term in subjects:
-            if term not in shared:
-                d._sub_ids[term] = nid
-                d._sub_terms[nid] = term
-                nid += 1
-        nid = d.n_so + 1
-        for term in objects:
-            if term not in shared:
-                d._obj_ids[term] = nid
-                d._obj_terms[nid] = term
-                nid += 1
-        for i, term in enumerate(preds, start=1):
-            d._pred_ids[term] = i
-            d._pred_terms[i] = term
+            subjects[s] = objects[o] = preds[p] = None
+        shared = [t for t in subjects if t in objects]  # in subject order
+        s_only = [t for t in subjects if t not in objects]
+        o_only = [t for t in objects if t not in subjects]
+        n_so = len(shared)
+        lines = [
+            *(f"{i}\t{SO_CLASS}\t{t.n3()}\n" for i, t in enumerate(shared, 1)),
+            *(f"{i}\t{S_CLASS}\t{t.n3()}\n" for i, t in enumerate(s_only, n_so + 1)),
+            *(f"{i}\t{O_CLASS}\t{t.n3()}\n" for i, t in enumerate(o_only, n_so + 1)),
+            *(f"{i}\t{P_CLASS}\t{t.n3()}\n" for i, t in enumerate(preds, 1)),
+        ]
+        d = cls("".join(lines).encode("utf-8"), len(subjects), len(objects), n_so, len(preds))
+        # Every lookup is answered from the caches, so nothing is searched.
+        d._terms.update(enumerate([*shared, *s_only, *o_only, *preds]))
+        d._ids[S_ROLE].update(zip([*shared, *s_only], range(1, d.n_s + 1)))
+        d._ids[O_ROLE].update(zip([*shared, *o_only], range(1, d.n_o + 1)))
+        d._ids[P_ROLE].update(zip(preds, range(1, d.n_p + 1)))
         return d
 
-    # -- sizes ---------------------------------------------------------------
+    # -- lines ---------------------------------------------------------------
 
-    @property
-    def n_s(self) -> int:
-        return len(self._sub_ids)
+    def _entry(self, line: int) -> tuple[int, bytes]:
+        """The id that line index ``line`` must hold, and the line's prefix
+        up to its second tab: the id and class."""
+        n_s, n_so = self.n_s, self.n_so
+        if line < n_s:
+            idx, cls = line + 1, b"so" if line < n_so else b"s"
+        elif line < self.n_s + self.n_o - n_so:
+            idx, cls = n_so + line - n_s + 1, b"o"
+        else:
+            idx, cls = line - (self.n_s + self.n_o - n_so) + 1, b"p"
+        return idx, b"%d\t%s" % (idx, cls)
 
-    @property
-    def n_o(self) -> int:
-        return len(self._obj_ids)
+    def _term_at(self, line: int) -> Term:
+        term = self._terms.get(line)
+        if term is not None:
+            return term
+        if self._lines is None:
+            self._lines = self.data.split(b"\n")
+        text = self._lines[line]
+        entry = self._entry(line)[1]
+        try:
+            if not text.startswith(entry + b"\t"):
+                raise ValueError(f"expected id and class {entry.decode()!r}")
+            rendered = text[len(entry) + 1 :].decode("utf-8")
+            term = _parse_rendered_term(rendered)
+            if term.n3() != rendered:
+                raise ValueError(f"{rendered!r} is not a rendered term")
+        except ValueError as exc:  # UnicodeDecodeError included
+            raise StoreError(f"{self.source}:{line + 1}: malformed entry ({exc})") from None
+        self._terms[line] = term
+        return term
 
-    @property
-    def n_p(self) -> int:
-        return len(self._pred_ids)
+    def _lookup(self, role: str, term: Term) -> "int | None":
+        found = self._ids[role].get(term, 0)  # 0: not looked up yet
+        if found != 0:
+            return found
+        found = None
+        rendered = term.n3()
+        # In an intact file every hit is a whole third field: no rendering
+        # holds a newline, and a tab inside one (only a string literal holds
+        # one) is never followed by the rest of a rendering and the line end.
+        # So the line of every hit must hold the id and class of its place.
+        # A term can sit on two lines: an S/O line and a P line.
+        if "\n" not in rendered:
+            data = self.data
+            n_lines = self.n_s + self.n_o - self.n_so + self.n_p
+            needle = b"\t" + rendered.encode("utf-8") + b"\n"
+            at = data.find(needle)
+            while at >= 0:
+                start = data.rfind(b"\n", 0, at) + 1
+                # Count newlines from the nearer end: the P lines come last.
+                if start <= len(data) // 2:
+                    line = data.count(b"\n", 0, start)
+                else:
+                    line = n_lines - data.count(b"\n", start)
+                idx, entry = self._entry(line)
+                if data[start:at] != entry:
+                    raise StoreError(
+                        f"{self.source}:{line + 1}: malformed entry "
+                        f"(expected id and class {entry.decode()!r})"
+                    )
+                if entry.endswith(_ROLE_CLASSES[role]):
+                    found = idx
+                    self._terms.setdefault(line, term)
+                    break
+                at = data.find(needle, at + 1)
+        self._ids[role][term] = found
+        return found
 
     # -- lookups -------------------------------------------------------------
 
     def subject_id(self, term: Term) -> "int | None":
-        return self._sub_ids.get(term)
+        return self._lookup(S_ROLE, term)
 
     def object_id(self, term: Term) -> "int | None":
-        return self._obj_ids.get(term)
+        return self._lookup(O_ROLE, term)
 
     def predicate_id(self, term: Term) -> "int | None":
-        return self._pred_ids.get(term)
+        return self._lookup(P_ROLE, term)
 
     def subject_term(self, idx: int) -> Term:
-        return self._sub_terms[idx]
+        return self._term_at(idx - 1)
 
     def object_term(self, idx: int) -> Term:
-        return self._obj_terms[idx]
+        return self._term_at(idx - 1 if idx <= self.n_so else self.n_s - self.n_so + idx - 1)
 
     def predicate_term(self, idx: int) -> Term:
-        return self._pred_terms[idx]
+        return self._term_at(self.n_s + self.n_o - self.n_so + idx - 1)
 
     # -- join keys -----------------------------------------------------------
     #
@@ -167,21 +225,11 @@ class Dictionary:
 
     def term(self, key: int) -> Term:
         """The term a join key names."""
-        return self._sub_terms[key] if key > 0 else self._obj_terms[-key]
-
-    def iter_entries(self) -> Iterator[tuple[int, str, Term]]:
-        for idx in sorted(self._sub_terms):
-            cls = SO_CLASS if idx <= self.n_so else S_CLASS
-            yield idx, cls, self._sub_terms[idx]
-        for idx in sorted(self._obj_terms):
-            if idx > self.n_so:
-                yield idx, O_CLASS, self._obj_terms[idx]
-        for idx in sorted(self._pred_terms):
-            yield idx, P_CLASS, self._pred_terms[idx]
+        return self._term_at(key - 1 if key > 0 else self.n_s - self.n_so - key - 1)
 
 
 SO_KIND_CODE = 0  # kind word of a stored matrix; only S-O matrices are stored
-MANIFEST_VERSION = "bitopt-store-format 2"  # first line of manifest.txt
+MANIFEST_VERSION = "bitopt-store-format 3"  # first line of manifest.txt
 _STORE_FILE = re.compile(r"dict\.tsv|manifest\.txt|bm_so_\d+\.bin")
 
 
@@ -204,8 +252,9 @@ class TripleStore:
         term_triples = list(parse_ntriples(source))
         d = Dictionary.build(term_triples)
         cells: dict[int, list[tuple[int, int]]] = {pid: [] for pid in range(1, d.n_p + 1)}
+        sub, obj, pred = d._ids[S_ROLE], d._ids[O_ROLE], d._ids[P_ROLE]  # full after build
         for s, p, o in term_triples:
-            cells[d.predicate_id(p)].append((d.subject_id(s), d.object_id(o)))
+            cells[pred[p]].append((sub[s], obj[o]))
         del term_triples
         store = cls(d)
         for pid in range(1, d.n_p + 1):
@@ -303,11 +352,14 @@ class TripleStore:
         staged, previous = os.path.join(work, "new"), os.path.join(work, "old")
         try:
             os.mkdir(staged)
-            with open(os.path.join(staged, "dict.tsv"), "w", encoding="utf-8") as fh:
-                for idx, cls, term in self.dictionary.iter_entries():
-                    fh.write(f"{idx}\t{cls}\t{term.n3()}\n")
+            d = self.dictionary
+            with open(os.path.join(staged, "dict.tsv"), "wb") as fh:
+                fh.write(d.data)
             names = []
-            lines = [MANIFEST_VERSION]
+            lines = [
+                MANIFEST_VERSION,
+                f"dict.tsv {len(d.data)} {zlib.crc32(d.data)} {d.n_s} {d.n_o} {d.n_so} {d.n_p}",
+            ]
             for pid, bm in self._so_matrices():
                 name = f"bm_so_{pid}.bin"
                 data = _encode_bitmat(bm)
@@ -331,18 +383,28 @@ class TripleStore:
 
     @classmethod
     def open(cls, directory: str) -> "TripleStore":
-        """Read a saved store's dictionary and check its matrix files
-        without decoding them. A malformed or inconsistent dictionary,
-        manifest or file header, or a file whose size or checksum differs
-        from the manifest's, raises StoreError here; a row that does not fit
-        raises it when its predicate is first used."""
+        """Check a saved store's files against its manifest without parsing
+        the dictionary or decoding a matrix. A malformed manifest, dimension
+        counts that the dictionary's line count or a matrix header
+        contradicts, or a file whose size or checksum differs from the
+        manifest's, raises StoreError here; a dictionary line or a matrix row
+        that does not fit raises it when a query first reads it."""
         dict_path = os.path.join(directory, "dict.tsv")
         manifest_path = os.path.join(directory, "manifest.txt")
         if not os.path.isfile(dict_path):
             raise StoreError(f"no store at {directory} (missing dict.tsv)")
-        store = cls(_read_dictionary(dict_path))
+        (size, crc, n_s, n_o, n_so, n_p), matrices = _read_manifest(manifest_path, directory)
+        data = _read_checked(dict_path, size, crc)
+        if min(n_s, n_o, n_so, n_p) < 0 or n_so > min(n_s, n_o):
+            raise StoreError(
+                f"{manifest_path}: impossible dictionary counts n_s={n_s} n_o={n_o} n_so={n_so} n_p={n_p}"
+            )
+        n_lines, found = n_s + n_o - n_so + n_p, data.count(b"\n")
+        if found != n_lines or (data and not data.endswith(b"\n")):
+            raise StoreError(f"{dict_path}: {found} lines, the manifest's counts give {n_lines}")
+        store = cls(Dictionary(data, n_s, n_o, n_so, n_p, dict_path))
         d = store.dictionary
-        for path, size, crc in _read_manifest(manifest_path, directory):
+        for path, size, crc in matrices:
             data = _read_checked(path, size, crc)
             try:
                 pid = _check_header(data, d)
@@ -365,8 +427,9 @@ def _read_lines(path: str) -> list[str]:
             raise StoreError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
 
 
-def _read_manifest(path: str, directory: str) -> list[tuple[str, int, int]]:
-    """(path, byte size, CRC-32) of every matrix file the manifest lists."""
+def _read_manifest(path: str, directory: str) -> tuple[list[int], list[tuple[str, int, int]]]:
+    """The manifest's ``dict.tsv`` entry (byte size, CRC-32, n_s, n_o, n_so,
+    n_p), and the (path, byte size, CRC-32) of every matrix file it lists."""
     reload = "reload it with `bitopt load --force`"
     if not os.path.isfile(path):
         raise StoreError(f"{path}: missing; {reload}")
@@ -376,54 +439,25 @@ def _read_manifest(path: str, directory: str) -> list[tuple[str, int, int]]:
             f"{path}: no {MANIFEST_VERSION!r} line; the store was written by "
             f"another version of bitopt, {reload}"
         )
+    dictionary = None
     entries = []
     for lineno, line in enumerate(lines[1:], start=2):
+        name, *fields = line.split(" ")
         try:
-            name, size, crc = line.split(" ")
-            entry = (os.path.join(directory, name), int(size), int(crc))
+            numbers = [int(f) for f in fields]
         except ValueError:
-            raise StoreError(f"{path}:{lineno}: malformed entry {line!r}") from None
+            numbers = []
         if os.path.basename(name) != name:
             raise StoreError(f"{path}:{lineno}: {name!r} is not a file name")
-        entries.append(entry)
-    return entries
-
-
-def _read_dictionary(path: str) -> Dictionary:
-    d = Dictionary()
-    for lineno, line in enumerate(_read_lines(path), start=1):
-        if not line:
-            continue
-        try:
-            idx_s, tag, rendered = line.split("\t", 2)
-            idx = int(idx_s)
-            term = _parse_rendered_term(rendered)
-        except ValueError as exc:
-            raise StoreError(f"{path}:{lineno}: malformed entry ({exc})") from None
-        if tag == SO_CLASS:
-            d._sub_ids[term] = d._obj_ids[term] = idx
-            d._sub_terms[idx] = d._obj_terms[idx] = term
-            d.n_so = max(d.n_so, idx)
-        elif tag == S_CLASS:
-            d._sub_ids[term] = idx
-            d._sub_terms[idx] = term
-        elif tag == O_CLASS:
-            d._obj_ids[term] = idx
-            d._obj_terms[idx] = term
-        elif tag == P_CLASS:
-            d._pred_ids[term] = idx
-            d._pred_terms[idx] = term
+        if name == "dict.tsv" and len(numbers) == 6 and dictionary is None:
+            dictionary = numbers
+        elif name != "dict.tsv" and len(numbers) == 2:
+            entries.append((os.path.join(directory, name), *numbers))
         else:
-            raise StoreError(f"{path}:{lineno}: unknown dictionary class {tag!r}")
-    for ids, terms in (
-        (d._sub_ids, d._sub_terms),
-        (d._obj_ids, d._obj_terms),
-        (d._pred_ids, d._pred_terms),
-    ):
-        # Dense 1..n ids, one per term: the matrix dimensions rely on it.
-        if not len(ids) == len(terms) == max(terms, default=0):
-            raise StoreError(f"{path}: ids are not a dense 1..n range of distinct terms")
-    return d
+            raise StoreError(f"{path}:{lineno}: malformed entry {line!r}")
+    if dictionary is None:
+        raise StoreError(f"{path}: no dict.tsv entry; {reload}")
+    return dictionary, entries
 
 
 def _parse_rendered_term(rendered: str) -> Term:
@@ -452,12 +486,12 @@ def _encode_bitmat(bm: BitMat) -> bytes:
 
 
 def _read_checked(path: str, size: int, crc: int) -> bytes:
-    """A matrix file's bytes, provided they match the manifest."""
+    """A store file's bytes, provided they match the manifest."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
-        raise StoreError(f"{path}: cannot read S-O matrix ({exc.strerror})") from None
+        raise StoreError(f"{path}: cannot read ({exc.strerror})") from None
     if len(data) != size:
         raise StoreError(f"{path}: {len(data)} bytes, the manifest says {size}")
     if zlib.crc32(data) != crc:

@@ -277,6 +277,55 @@ def _dictionary_ids_not_dense(store_dir):
     path.write_text("".join(lines))
 
 
+def _dictionary_line_not_utf8(store_dir):
+    # The line of :Julia (id 2), which Q1 emits.
+    path = store_dir / "dict.tsv"
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[1] = b"2\tso\t<\xff>\n"
+    path.write_bytes(b"".join(lines))
+
+
+def _dictionary_wrong_class(store_dir):
+    # :Julia, a shared term, as a subject-only line.
+    path = store_dir / "dict.tsv"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1] = lines[1].replace("\tso\t", "\ts\t", 1)
+    path.write_text("".join(lines))
+
+
+def _dictionary_extra_line(store_dir):
+    path = store_dir / "dict.tsv"
+    path.write_text(path.read_text() + f"8\to\t<{EX}Extra>\n")
+
+
+def _edit_dictionary_counts(store_dir, edit):
+    manifest = store_dir / "manifest.txt"
+    lines = manifest.read_text().splitlines()
+    at = next(i for i, ln in enumerate(lines) if ln.startswith("dict.tsv "))
+    name, size, crc, *numbers = lines[at].split(" ")
+    counts = dict(zip(("n_s", "n_o", "n_so", "n_p"), map(int, numbers)))
+    edit(counts)
+    lines[at] = " ".join([name, size, crc, *(str(n) for n in counts.values())])
+    manifest.write_text("\n".join(lines) + "\n")
+
+
+def _dictionary_counts_disagree(store_dir):
+    _edit_dictionary_counts(store_dir, lambda c: c.update(n_p=c["n_p"] + 1))
+
+
+def _dictionary_counts_shifted(store_dir):
+    # The same line count, split differently between the dimensions.
+    _edit_dictionary_counts(store_dir, lambda c: c.update(n_s=c["n_s"] + 1, n_p=c["n_p"] - 1))
+
+
+def _shared_count_above_subjects(store_dir):
+    # n_so > n_s, with n_o raised so that the line count still matches.
+    def edit(c):
+        c.update(n_o=c["n_o"] + c["n_s"] + 1 - c["n_so"], n_so=c["n_s"] + 1)
+
+    _edit_dictionary_counts(store_dir, edit)
+
+
 def _predicate_without_file(store_dir):
     (store_dir / "bm_so_2.bin").unlink()
     manifest = store_dir / "manifest.txt"
@@ -317,11 +366,14 @@ class TestCorruptStore:
 
 
 def _reseal(store_dir, name):
-    """Make the manifest line of ``name`` match the file as it is now."""
+    """Make the manifest line of ``name`` match the file as it is now; the
+    dictionary's counts after its size and checksum stay as they are."""
     data = (store_dir / name).read_bytes()
     manifest = store_dir / "manifest.txt"
     lines = [
-        f"{name} {len(data)} {zlib.crc32(data)}" if ln.split(" ")[0] == name else ln
+        " ".join([name, str(len(data)), str(zlib.crc32(data)), *ln.split(" ")[3:]])
+        if ln.split(" ")[0] == name
+        else ln
         for ln in manifest.read_text().splitlines()
     ]
     manifest.write_text("\n".join(lines) + "\n")
@@ -368,6 +420,19 @@ class TestManifestVersion:
         assert len(err) == 1 and err[0].startswith("error: "), err
         assert "bitopt load --force" in err[0]
 
+    def test_format_2_store_must_be_reloaded(self, tmp_path, store_dir, capsys):
+        # The manifest as format 2 wrote it: no dict.tsv line.
+        manifest = store_dir / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        assert lines[0] == "bitopt-store-format 3"
+        lines = ["bitopt-store-format 2"] + [ln for ln in lines[1:] if not ln.startswith("dict.tsv ")]
+        manifest.write_text("\n".join(lines) + "\n")
+        qpath = write_query(tmp_path, Q1_TEXT)
+        assert main(["query", str(store_dir), qpath]) == EXIT_IO
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert "bitopt load --force" in err[0]
+
     @pytest.mark.parametrize("entry", ["bm_so_1.bin 72", "bm_so_1.bin 72 x", "../store/bm_so_1.bin 72 1"])
     def test_malformed_entry(self, tmp_path, store_dir, capsys, entry):
         manifest = store_dir / "manifest.txt"
@@ -383,7 +448,10 @@ class TestResealedDamage:
     """The same damage with the manifest line made to match the file, so the
     size and checksum pass: the header checks still reject the file at
     open(), the row checks when a query first uses its predicate (a row past
-    the width is in TestLazyDecodeErrors)."""
+    the width is in TestLazyDecodeErrors). For the dictionary, the line
+    count and the manifest's counts are checked at open(), a line when a
+    query first reads it: every damaged line here is one Q1 reads, the line
+    of its constant :Jerry or of a term it emits."""
 
     @pytest.mark.parametrize(
         "damage, at_open",
@@ -398,22 +466,34 @@ class TestResealedDamage:
             (_slice_key_repeated, True),
             (_truncate_whole_word, False),
             (_trailing_word, False),
+            (_malformed_dict_line, False),
+            (_dictionary_line_not_utf8, False),
+            (_dictionary_ids_not_dense, False),
+            (_dictionary_wrong_class, False),
+            (_dictionary_not_utf8, True),
+            (_dictionary_extra_line, True),
+            (_dictionary_counts_disagree, True),
+            (_dictionary_counts_shifted, True),
+            (_shared_count_above_subjects, True),
         ],
         ids=lambda f: f.__name__.lstrip("_") if callable(f) else None,
     )
     def test_exits_with_one_error_line(self, tmp_path, store_dir, capsys, damage, at_open):
         damage(store_dir)
-        for path in store_dir.glob("bm_so_*.bin"):
+        for path in [store_dir / "dict.tsv", *store_dir.glob("bm_so_*.bin")]:
             _reseal(store_dir, path.name)
         if at_open:
             with pytest.raises(StoreError):
                 TripleStore.open(str(store_dir))
         else:
             TripleStore.open(str(store_dir))
+        capsys.readouterr()
         qpath = write_query(tmp_path, Q1_TEXT)
         assert main(["query", str(store_dir), qpath]) == EXIT_IO
-        err = capsys.readouterr().err.splitlines()
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
+        assert captured.out == ""
 
 
 class TestExplainRunsOnce:

@@ -58,19 +58,26 @@ class TestDictionary:
 
     def test_id_ranges_dense(self, seinfeld_store):
         d = seinfeld_store.dictionary
-        assert sorted(d._sub_terms) == list(range(1, d.n_s + 1))
-        assert sorted(d._obj_terms) == list(range(1, d.n_o + 1))
-        assert sorted(d._pred_terms) == list(range(1, d.n_p + 1))
+        assert (d.n_s, d.n_o, d.n_p) == (4, 7, 3)
+        for n, term_of in ((d.n_s, d.subject_term), (d.n_o, d.object_term), (d.n_p, d.predicate_term)):
+            assert len({term_of(idx) for idx in range(1, n + 1)}) == n
 
     def test_round_trip(self, seinfeld_store):
         d = seinfeld_store.dictionary
-        for idx, cls, term in d.iter_entries():
-            if cls in ("so", "s"):
-                assert d.subject_id(term) == idx
-            if cls in ("so", "o"):
-                assert d.object_id(term) == idx
-            if cls == "p":
-                assert d.predicate_id(term) == idx
+        for idx in range(1, d.n_s + 1):
+            assert d.subject_id(d.subject_term(idx)) == idx
+        for idx in range(1, d.n_o + 1):
+            assert d.object_id(d.object_term(idx)) == idx
+        for idx in range(1, d.n_p + 1):
+            assert d.predicate_id(d.predicate_term(idx)) == idx
+        # Shared ids name one term on both dimensions; the ids above n_so
+        # name a term that has no id on the other dimension.
+        for idx in range(1, d.n_so + 1):
+            assert d.subject_term(idx) == d.object_term(idx)
+        for idx in range(d.n_so + 1, d.n_s + 1):
+            assert d.object_id(d.subject_term(idx)) is None
+        for idx in range(d.n_so + 1, d.n_o + 1):
+            assert d.subject_id(d.object_term(idx)) is None
 
 
 class TestLoad:
@@ -304,3 +311,108 @@ class TestLazyOpen:
         victim.unlink()
         with pytest.raises(StoreError, match="bm_so_2.bin"):
             store.bitmat("SO", 2)
+
+
+# An IRI used as predicate and as subject and object, string literals holding
+# a quote, a backslash and tabs (one followed by what renders as another
+# term), and both the integer 25 and the string "25".
+TRICKY_NT = (
+    f"<{EX}knows> <{EX}knows> <{EX}bob> .\n"
+    f"<{EX}alice> <{EX}knows> <{EX}knows> .\n"
+    f'<{EX}alice> <{EX}says> "a \\"quoted\\" word" .\n'
+    f'<{EX}alice> <{EX}says> "back\\\\slash" .\n'
+    f'<{EX}alice> <{EX}says> "tab\tinside" .\n'
+    f'<{EX}alice> <{EX}says> "x\t<{EX}bob>" .\n'
+    f'<{EX}alice> <{EX}says> "\t25" .\n'
+    f'<{EX}bob> <{EX}says> "q\t\\"25\\"" .\n'
+    f"<{EX}alice> <{EX}age> 25 .\n"
+    f'<{EX}bob> <{EX}age> "25" .\n'
+)
+
+_ROLES = (
+    ("n_s", "subject_term", "subject_id"),
+    ("n_o", "object_term", "object_id"),
+    ("n_p", "predicate_term", "predicate_id"),
+)
+
+
+class TestLazyDictionary:
+    """``open`` builds no term; a query builds terms only for the ids it
+    emits; a reopened dictionary agrees with the one built from the data."""
+
+    @pytest.fixture()
+    def parsed(self, monkeypatch):
+        import bitopt.store
+
+        terms = []
+        original = bitopt.store._parse_rendered_term
+
+        def spy(rendered):
+            term = original(rendered)
+            terms.append(term)
+            return term
+
+        monkeypatch.setattr(bitopt.store, "_parse_rendered_term", spy)
+        return terms
+
+    def test_open_builds_no_term(self, tmp_path, parsed):
+        TripleStore.from_ntriples(SEINFELD_NT).save(str(tmp_path))
+        d = TripleStore.open(str(tmp_path)).dictionary
+        assert (d.n_s, d.n_o, d.n_so, d.n_p) == (4, 7, 3, 3)
+        assert parsed == []
+
+    def test_point_query_builds_only_the_terms_it_emits(self, tmp_path, parsed):
+        from bitopt.executor import run_query
+        from bitopt.parser import parse
+
+        text = "".join(
+            f'<{EX}a{i}> <{EX}p> <{EX}b{i}> .\n<{EX}b{i}> <{EX}q> "lit{i}" .\n' for i in range(50)
+        )
+        TripleStore.from_ntriples(text).save(str(tmp_path))
+        store = TripleStore.open(str(tmp_path))
+        query = parse("SELECT ?o ?l WHERE { :a7 :p ?o . ?o :q ?l . }")
+        rows = run_query(query, store).relation.project(query.projection).rows
+        assert rows == [(iri("b7"), Literal("lit7"))]
+        # The constants :a7, :p and :q were found by search, not built.
+        assert sorted(parsed, key=term_sort_key) == [iri("b7"), Literal("lit7")]
+
+    @staticmethod
+    def _assert_agree(text, tmp_path):
+        built = TripleStore.from_ntriples(text)
+        built.save(str(tmp_path))
+        b = built.dictionary
+        by_id = TripleStore.open(str(tmp_path)).dictionary
+        by_term = TripleStore.open(str(tmp_path)).dictionary
+        terms = set()
+        for count, term_of, id_of in _ROLES:
+            n = getattr(b, count)
+            assert n == getattr(by_id, count) == getattr(by_term, count)
+            for idx in range(1, n + 1):
+                term = getattr(b, term_of)(idx)
+                assert getattr(by_id, term_of)(idx) == term
+                assert getattr(by_term, id_of)(term) == idx
+                terms.add(term)
+        assert b.n_so == by_id.n_so
+        # Every term in every role, misses included, and every join key.
+        for term in terms:
+            for _, _, id_of in _ROLES:
+                assert getattr(by_term, id_of)(term) == getattr(b, id_of)(term)
+        keys = [b.key(bitmat.S, s) for s in range(1, b.n_s + 1)]
+        keys += [b.key(bitmat.O, o) for o in range(1, b.n_o + 1)]
+        assert [by_id.term(k) for k in keys] == [b.term(k) for k in keys]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_reopened_agrees_with_built(self, seed, tmp_path):
+        self._assert_agree(_random_store_text(seed), tmp_path)
+
+    def test_reopened_agrees_with_built_on_tricky_terms(self, tmp_path):
+        self._assert_agree(TRICKY_NT, tmp_path)
+        d = TripleStore.open(str(tmp_path)).dictionary
+        knows = iri("knows")
+        assert d.subject_id(knows) == d.object_id(knows) <= d.n_so
+        assert d.predicate_id(knows) is not None
+        assert None not in (d.object_id(Literal(25)), d.object_id(Literal("25")))
+        assert d.object_id(Literal(25)) != d.object_id(Literal("25"))
+        assert d.object_id(Literal("tab\tinside")) is not None
+        assert d.object_id(Literal("x\t<" + EX + "bob>")) is not None
+        assert d.object_id(iri("bob")) is not None and d.object_id(Literal("inside")) is None
