@@ -5,7 +5,7 @@ serialization consumed by the structural analyses.
 
 from __future__ import annotations
 
-import re
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -343,17 +343,18 @@ def check_well_designed(root: PatternNode) -> None:
 # Serialization
 
 
-def serialize(node: "PatternNode | Query") -> str:
-    """Render the tree as a parenthesized infix expression over named BGPs
-    (P1..Pk, numbered left to right)."""
+def serialize(node: "PatternNode | Query", leaf: "Callable[[Bgp], str] | None" = None) -> str:
+    """Render the tree as a parenthesized infix expression over its BGPs,
+    each rendered by ``leaf``; by default they are named P1..Pk, numbered
+    left to right."""
     if isinstance(node, Query):
         node = node.root
-    counter = [0]
+    numbers = itertools.count(1)
+    leaf = leaf or (lambda bgp: f"P{next(numbers)}")
 
     def walk(n: PatternNode, top: bool) -> str:
         if isinstance(n, Bgp):
-            counter[0] += 1
-            return f"P{counter[0]}"
+            return leaf(n)
         if isinstance(n, Filter):
             inner = walk(n.inner, False)
             return f"{inner} F({n.expr})" if top else f"({inner} F({n.expr}))"
@@ -362,56 +363,3 @@ def serialize(node: "PatternNode | Query") -> str:
         return text if top else f"({text})"
 
     return walk(node, True)
-
-
-_ALG_TOKEN = re.compile(r"P\d+|[()]|" + JOIN_SYM + "|" + LEFTJOIN_SYM + "|" + UNION_SYM)
-
-
-def parse_algebra(text: str) -> PatternNode:
-    """Parse the filter-free infix notation back into a shape tree (each
-    P-atom becomes an empty BGP); used for round-trip checks."""
-    tokens = _ALG_TOKEN.findall(text)
-    pos = [0]
-
-    def peek() -> "str | None":
-        return tokens[pos[0]] if pos[0] < len(tokens) else None
-
-    def take() -> str:
-        tok = tokens[pos[0]]
-        pos[0] += 1
-        return tok
-
-    def atom() -> PatternNode:
-        tok = take()
-        if tok == "(":
-            node = expr()
-            if take() != ")":
-                raise ValueError("unbalanced parentheses in algebra text")
-            return node
-        if tok.startswith("P"):
-            return Bgp(())
-        raise ValueError(f"unexpected token {tok!r}")
-
-    def expr() -> PatternNode:
-        node = atom()
-        while peek() in (JOIN_SYM, LEFTJOIN_SYM, UNION_SYM):
-            op = take()
-            rhs = atom()
-            cls = {JOIN_SYM: Join, LEFTJOIN_SYM: LeftJoin, UNION_SYM: Union}[op]
-            node = cls(node, rhs)
-        return node
-
-    node = expr()
-    if peek() is not None:
-        raise ValueError(f"trailing algebra tokens at {pos[0]}")
-    return node
-
-
-def same_shape(a: PatternNode, b: PatternNode) -> bool:
-    if isinstance(a, Bgp) and isinstance(b, Bgp):
-        return True
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, Filter):
-        return same_shape(a.inner, b.inner)
-    return same_shape(a.left, b.left) and same_shape(a.right, b.right)

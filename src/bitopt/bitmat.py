@@ -49,49 +49,6 @@ class CompressedRow:
         return " ".join(str(n) for n in self.payload)
 
 
-def _as_bits(bits: "Sequence[int] | str") -> list[int]:
-    if isinstance(bits, str):
-        return [1 if c == "1" else 0 for c in bits]
-    return [1 if b else 0 for b in bits]
-
-
-def _runs(bitlist: list[int]) -> list[int]:
-    runs = []
-    current = bitlist[0]
-    count = 0
-    for b in bitlist:
-        if b == current:
-            count += 1
-        else:
-            runs.append(count)
-            current = b
-            count = 1
-    runs.append(count)
-    return runs
-
-
-def encode_row(bits: "Sequence[int] | str") -> CompressedRow:
-    """Hybrid encoding: set positions iff popcount < number of RLE integers."""
-    bitlist = _as_bits(bits)
-    if not bitlist:
-        raise DimensionMismatchError("cannot encode an empty row")
-    runs = _runs(bitlist)
-    popcount = sum(bitlist)
-    if popcount < len(runs):
-        positions = tuple(i for i, b in enumerate(bitlist, start=1) if b)
-        return CompressedRow("pos", 0, positions)
-    return CompressedRow("rle", bitlist[0], tuple(runs))
-
-
-def decode_row(row: CompressedRow, width: int) -> tuple[int, ...]:
-    bits = [0] * width
-    for pos in row_positions(row):
-        if pos > width:
-            raise DimensionMismatchError(f"position {pos} exceeds width {width}")
-        bits[pos - 1] = 1
-    return tuple(bits)
-
-
 def row_positions(row: CompressedRow) -> Iterator[int]:
     """Set-bit positions without materializing the dense row."""
     if row.tag == "pos":

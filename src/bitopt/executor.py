@@ -18,8 +18,6 @@ from typing import Iterable, Iterator, Sequence
 from .algebra import (
     Bgp,
     Filter,
-    Join,
-    LeftJoin,
     PatternNode,
     Query,
     Union,
@@ -29,6 +27,7 @@ from .algebra import (
     iter_nodes,
     node_patterns,
     node_vars,
+    serialize,
 )
 from .bitmat import transpose
 from .patmat import PatternMatrix, UnsupportedByIndexError
@@ -458,7 +457,7 @@ def plan_query(query: Query, store: TripleStore, config: "RunConfig | None" = No
         applied_conjuncts |= applied
         if config.prune:
             schedule = prune_triples(PruneContext(store, gosn, got, report, comp_matrices))
-            schedules.append((serialize_component(norm), schedule))
+            schedules.append((serialize(norm, _labels), schedule))
         matrices.update(comp_matrices)
 
     traces: list[DisjunctTrace] = []
@@ -476,7 +475,7 @@ def plan_query(query: Query, store: TripleStore, config: "RunConfig | None" = No
             stps = build_stps(gosn, got, own)
         residual = [sc for sc in scoped if id(sc.conjunct) not in applied_conjuncts]
         traces.append(
-            DisjunctTrace(serialize_component(norm), gosn, got, report, nulreqd, stps, own, residual)
+            DisjunctTrace(serialize(norm, _labels), gosn, got, report, nulreqd, stps, own, residual)
         )
     header = tuple(sorted(node_vars(pushed), key=lambda v: v.name))
     return Plan(store, config, header, unf.rule3_used, traces, schedules, matrices)
@@ -514,19 +513,6 @@ def run_query(query: Query, store: TripleStore, config: "RunConfig | None" = Non
     return execute(plan_query(query, store, config))
 
 
-def serialize_component(node: PatternNode) -> str:
-    """Compact rendering with actual pattern labels instead of P-numbering."""
-    from .algebra import JOIN_SYM, LEFTJOIN_SYM, UNION_SYM
-
-    def walk(n: PatternNode, top: bool) -> str:
-        if isinstance(n, Bgp):
-            return "{" + " ".join(tp.label for tp in n.patterns) + "}"
-        if isinstance(n, Filter):
-            inner = walk(n.inner, False)
-            text = f"{inner} F({n.expr})"
-            return text if top else f"({text})"
-        sym = {Join: JOIN_SYM, LeftJoin: LEFTJOIN_SYM, Union: UNION_SYM}[type(n)]
-        text = f"{walk(n.left, False)} {sym} {walk(n.right, False)}"
-        return text if top else f"({text})"
-
-    return walk(node, True)
+def _labels(bgp: Bgp) -> str:
+    """A BGP rendered by its pattern labels instead of P-numbering."""
+    return "{" + " ".join(tp.label for tp in bgp.patterns) + "}"

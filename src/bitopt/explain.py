@@ -68,23 +68,3 @@ def _render_got(got: Got) -> list[str]:
         label = ",".join(sorted(str(v) for v in got.edges[pair]))
         lines.append(f"got.edge=T{i}-T{j} {{{label}}}")
     return lines
-
-
-def render_dot(gosn: Gosn, got: Got) -> str:
-    """GraphViz export of the supernode and pattern graphs."""
-    lines = ["digraph gosn {"]
-    for sid in sorted(gosn.supernodes):
-        sn = gosn.supernodes[sid]
-        shape = "doubleoctagon" if sn.is_absolute_master else "box"
-        members = ",".join(tp.label for tp in sn.patterns)
-        lines.append(f'  SN{sid} [shape={shape} label="SN{sid}: {members}"];')
-    for m, s in sorted(gosn.uni_edges):
-        lines.append(f"  SN{m} -> SN{s};")
-    for a, b in sorted(gosn.bi_edges):
-        lines.append(f"  SN{a} -> SN{b} [dir=both];")
-    for pair in sorted(got.edges, key=lambda p: tuple(sorted(p))):
-        i, j = sorted(pair)
-        label = ",".join(sorted(str(v) for v in got.edges[pair]))
-        lines.append(f'  T{i} -> T{j} [dir=none color=red label="{label}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"

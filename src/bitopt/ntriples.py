@@ -11,7 +11,7 @@ import io
 import re
 from typing import Iterable, Iterator
 
-from .terms import Iri, Literal, Term
+from .terms import Iri, Literal, Term, unescape
 
 XSD_INTEGER = "http://www.w3.org/2001/XMLSchema#integer"
 
@@ -27,10 +27,6 @@ _STRING_RE = re.compile(r'"((?:[^"\\]|\\.)*)"')
 _INT_RE = re.compile(r"[+-]?[0-9]+")
 
 
-def _unescape(raw: str) -> str:
-    return raw.replace('\\"', '"').replace("\\\\", "\\")
-
-
 def _parse_term(text: str, pos: int, line_no: int) -> tuple[Term, int]:
     if pos >= len(text):
         raise NTriplesError("unexpected end of line", line_no)
@@ -44,7 +40,10 @@ def _parse_term(text: str, pos: int, line_no: int) -> tuple[Term, int]:
         m = _STRING_RE.match(text, pos)
         if not m:
             raise NTriplesError(f"malformed literal at column {pos + 1}", line_no)
-        value = _unescape(m.group(1))
+        try:
+            value = unescape(m.group(1))
+        except ValueError as exc:
+            raise NTriplesError(f"{exc} in literal at column {pos + 1}", line_no) from None
         end = m.end()
         if text.startswith("^^", end):
             dt = _IRI_RE.match(text, end + 2)

@@ -31,7 +31,7 @@ from .algebra import (
     check_well_designed,
     node_vars,
 )
-from .terms import Iri, Literal
+from .terms import Iri, Literal, unescape
 
 DEFAULT_PREFIXES = {
     "": "http://example.org/",
@@ -233,6 +233,8 @@ class _Parser:
         return TriplePattern(self.pattern_count, s, p, o)
 
     def parse_term(self, position: str):
+        """One term in ``position``: subject, predicate, object or filter
+        operand. Literals may stand only as an object or an operand."""
         tok = self.take()
         if tok.kind == "var":
             return Variable(tok.value[1:])
@@ -243,15 +245,16 @@ class _Parser:
             if prefix not in self.prefixes:
                 raise QuerySyntaxError(f"unknown prefix {prefix!r}:", tok.line, tok.col)
             return Iri(self.prefixes[prefix] + local)
-        if tok.kind == "string":
-            if position != "object":
+        if tok.kind in ("string", "integer"):
+            if position in ("subject", "predicate"):
                 raise QuerySyntaxError(f"literal in {position} position", tok.line, tok.col)
-            return Literal(tok.value[1:-1].replace('\\"', '"').replace("\\\\", "\\"))
-        if tok.kind == "integer":
-            if position != "object":
-                raise QuerySyntaxError(f"literal in {position} position", tok.line, tok.col)
-            return Literal(int(tok.value))
-        raise QuerySyntaxError(f"expected term, got {tok.value!r}", tok.line, tok.col)
+            if tok.kind == "integer":
+                return Literal(int(tok.value))
+            try:
+                return Literal(unescape(tok.value[1:-1]))
+            except ValueError as exc:
+                raise QuerySyntaxError(f"{exc} in string literal", tok.line, tok.col) from None
+        raise QuerySyntaxError(f"expected {position}, got {tok.value!r}", tok.line, tok.col)
 
     # FILTER expressions: ||, && over comparisons, ! and parentheses.
 
@@ -288,34 +291,12 @@ class _Parser:
         return self.parse_comparison()
 
     def parse_comparison(self) -> FilterExpr:
-        lhs = self.parse_operand()
+        lhs = self.parse_term(position="filter operand")
         tok = self.take()
         if tok.kind != "op" or tok.value not in ("=", "!=", "<", "<=", ">", ">="):
             raise QuerySyntaxError(f"expected comparison operator, got {tok.value!r}", tok.line, tok.col)
-        rhs = self.parse_operand()
+        rhs = self.parse_term(position="filter operand")
         return Comparison(tok.value, lhs, rhs)
-
-    def parse_operand(self):
-        tok = self.peek()
-        if tok.kind == "var":
-            self.take()
-            return Variable(tok.value[1:])
-        if tok.kind == "iri":
-            self.take()
-            return Iri(tok.value[1:-1])
-        if tok.kind == "pname":
-            self.take()
-            prefix, _, local = tok.value.partition(":")
-            if prefix not in self.prefixes:
-                raise QuerySyntaxError(f"unknown prefix {prefix!r}:", tok.line, tok.col)
-            return Iri(self.prefixes[prefix] + local)
-        if tok.kind == "string":
-            self.take()
-            return Literal(tok.value[1:-1].replace('\\"', '"').replace("\\\\", "\\"))
-        if tok.kind == "integer":
-            self.take()
-            return Literal(int(tok.value))
-        raise QuerySyntaxError(f"expected filter operand, got {tok.value!r}", tok.line, tok.col)
 
 
 def parse(text: str) -> Query:

@@ -14,7 +14,6 @@ that would let a slave shrink its master.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .algebra import TriplePattern, Variable
 from .bitmat import BitArray, intersect_arrays
@@ -202,19 +201,12 @@ def _first_join_var(tp: TriplePattern, got: Got) -> "Variable | None":
     return None
 
 
-def plan_supernode_pass(
-    ctx: PruneContext,
-    sid: int,
-    execute: bool,
-    count_of: "Callable[[int], int] | None" = None,
-) -> tuple[list[SemiJoinStep], list[SemiJoinStep]]:
-    """One bottom-up + top-down pass over the patterns of a supernode.
-
-    When ``execute`` is set each step runs as soon as it is planned, so later
-    cost decisions see refreshed counts.
+def plan_supernode_pass(ctx: PruneContext, sid: int) -> tuple[list[SemiJoinStep], list[SemiJoinStep]]:
+    """One bottom-up + top-down pass over the patterns of a supernode. Each
+    step runs as soon as it is planned, so later cost decisions see
+    refreshed counts.
     """
     gosn, got = ctx.gosn, ctx.got
-    count_of = count_of or ctx.count
     sn = gosn.supernodes[sid]
     alive = {tp.index for tp in sn.patterns}
     sn_ids = set(alive)
@@ -225,8 +217,7 @@ def plan_supernode_pass(
 
     def emit(step: SemiJoinStep) -> None:
         order_bu.append(step)
-        if execute:
-            ctx.run_step(step)
+        ctx.run_step(step)
 
     def emit_transfers(idx: int) -> None:
         if not is_slave:
@@ -249,17 +240,17 @@ def plan_supernode_pass(
             if not subgraph.incident(idx, alive) or dominating_neighbors(subgraph, idx, alive)
         ]
         if ears:
-            t_i = min(ears, key=lambda idx: (count_of(idx), idx))
+            t_i = min(ears, key=lambda idx: (ctx.count(idx), idx))
             partners = dominating_neighbors(subgraph, t_i, alive)
         else:
             leaves = [idx for idx in alive if count_node_classes(subgraph, idx, alive) <= 1]
             if not leaves:
                 leaves = sorted(alive)  # cyclic remainder: stay sound
-            t_i = min(leaves, key=lambda idx: (count_of(idx), idx))
+            t_i = min(leaves, key=lambda idx: (ctx.count(idx), idx))
             partners = [n for n in subgraph.neighbors(t_i, alive) if n != t_i]
         emit_transfers(t_i)
         if partners:
-            t_j = min(partners, key=lambda idx: (count_of(idx), idx))
+            t_j = min(partners, key=lambda idx: (ctx.count(idx), idx))
             emit_transfers(t_j)
             emit(SemiJoinStep(t_j, t_i, got.label(t_j, t_i)))
         alive.remove(t_i)
@@ -270,21 +261,15 @@ def plan_supernode_pass(
             continue  # reversing a transfer would let a slave shrink a master
         flipped = SemiJoinStep(step.source, step.target, step.join_vars)
         order_td.append(flipped)
-        if execute:
-            ctx.run_step(flipped)
+        ctx.run_step(flipped)
     return order_bu, order_td
 
 
-def plan_greedy(
-    ctx: PruneContext,
-    pattern_ids: list[int],
-    execute: bool,
-    count_of: "Callable[[int], int] | None" = None,
-) -> list[SemiJoinStep]:
+def plan_greedy(ctx: PruneContext, pattern_ids: list[int]) -> list[SemiJoinStep]:
     """Cheapest-first pass constrained by the master-slave hierarchy; every
-    pattern is semi-joined against each already-processed neighbor once."""
+    pattern is semi-joined against each already-processed neighbor once,
+    each step running as soon as it is planned."""
     gosn, got = ctx.gosn, ctx.got
-    count_of = count_of or ctx.count
     sn_rank = {sid: i for i, sid in enumerate(gosn.topo_order())}
     remaining = set(pattern_ids)
     processed: list[int] = []
@@ -292,7 +277,7 @@ def plan_greedy(
     while remaining:
         nxt = min(
             remaining,
-            key=lambda idx: (sn_rank[gosn.sn_of_pattern[idx]], count_of(idx), idx),
+            key=lambda idx: (sn_rank[gosn.sn_of_pattern[idx]], ctx.count(idx), idx),
         )
         remaining.remove(nxt)
         for other, label in got.incident(nxt):
@@ -304,46 +289,28 @@ def plan_greedy(
                     transfer=gosn.sn_of_pattern[other] != gosn.sn_of_pattern[nxt],
                 )
                 steps.append(step)
-                if execute:
-                    ctx.run_step(step)
+                ctx.run_step(step)
         processed.append(nxt)
     return steps
-
-
-def build_schedule(
-    gosn: Gosn,
-    got: Got,
-    report: StructureReport,
-    stats: dict[int, int],
-) -> PruneSchedule:
-    """Plan without executing, using the supplied per-pattern triple counts.
-    The executed schedule can differ in tie order because counts refresh as
-    semi-joins run."""
-    ctx = PruneContext(None, gosn, got, report, {})  # type: ignore[arg-type]
-    return _drive(ctx, execute=False, count_of=lambda idx: stats[idx])
 
 
 def prune_triples(ctx: PruneContext) -> PruneSchedule:
     """Execute pruning against the working matrices, interleaving planning
     with execution so costs refresh after every semi-join."""
-    return _drive(ctx, execute=True, count_of=None)
-
-
-def _drive(ctx: PruneContext, execute: bool, count_of) -> PruneSchedule:
     gosn = ctx.gosn
     regime = pick_regime(ctx.report)
     sn_order = gosn.topo_order()
     schedule = PruneSchedule(regime, sn_order)
     if regime == GREEDY_ALL:
         all_ids = [tp.index for sn in gosn.supernodes.values() for tp in sn.patterns]
-        schedule.greedy = plan_greedy(ctx, sorted(all_ids), execute, count_of)
+        schedule.greedy = plan_greedy(ctx, sorted(all_ids))
         return schedule
     remaining = list(sn_order)
     if regime == GREEDY_ABS:
         abs_ids = [tp.index for tp in gosn.supernodes[gosn.abs_id].patterns]
-        schedule.greedy = plan_greedy(ctx, sorted(abs_ids), execute, count_of)
+        schedule.greedy = plan_greedy(ctx, sorted(abs_ids))
         remaining = [sid for sid in remaining if sid != gosn.abs_id]
     for sid in remaining:
-        bu, td = plan_supernode_pass(ctx, sid, execute, count_of)
+        bu, td = plan_supernode_pass(ctx, sid)
         schedule.per_sn.append((sid, bu, td))
     return schedule

@@ -141,15 +141,6 @@ def is_loadtime(conjunct: FilterExpr) -> bool:
     return isinstance(conjunct, Comparison) and len(filter_vars(conjunct)) == 1
 
 
-def classify_loadtime_filters(expr: FilterExpr) -> tuple[tuple[FilterExpr, ...], tuple[FilterExpr, ...]]:
-    """Split a filter into (load-time, residual) conjunct tuples."""
-    loadtime = []
-    residual = []
-    for c in top_conjuncts(expr):
-        (loadtime if is_loadtime(c) else residual).append(c)
-    return tuple(loadtime), tuple(residual)
-
-
 @dataclass(frozen=True)
 class ScopedConjunct:
     """One filter conjunct plus the subtree it filters."""

@@ -40,7 +40,7 @@ from typing import Iterable, Iterator
 from . import bitmat
 from .bitmat import BitMat, CompressedRow, bitmat_from_cells, row_from_mask, row_from_positions, row_test
 from .ntriples import parse_ntriples
-from .terms import Iri, Literal, Term, term_sort_key
+from .terms import Iri, Literal, Term, term_sort_key, unescape
 
 SO_CLASS = "so"
 S_CLASS = "s"
@@ -464,8 +464,7 @@ def _parse_rendered_term(rendered: str) -> Term:
     if rendered.startswith("<") and rendered.endswith(">"):
         return Iri(rendered[1:-1])
     if rendered.startswith('"'):
-        body = rendered[1:-1]
-        return Literal(body.replace('\\"', '"').replace("\\\\", "\\"))
+        return Literal(unescape(rendered[1:-1]))
     return Literal(int(rendered))
 
 
@@ -549,6 +548,13 @@ def _decode_bitmat(data: bytes, d: Dictionary) -> BitMat:
         if tag == 2:
             row = CompressedRow("pos", 0, payload)
             fits = length > 0 and 1 <= payload[0] and payload[-1] <= n_cols
+            if length > 1:  # the ends bound the rest only if positions increase
+                prev = 0
+                for pos in payload:
+                    if pos <= prev:
+                        fits = False
+                        break
+                    prev = pos
         else:
             row = CompressedRow("rle", tag, payload)
             fits = tag < 2 and sum(payload) == n_cols

@@ -356,7 +356,6 @@ def ear_reducible(got: Got, keep: "set[int] | None" = None) -> bool:
 @dataclass(frozen=True)
 class StructureReport:
     connected: bool
-    well_designed: bool
     got_acyclic: bool
     fully_reducible: bool  # ear reduction empties the whole pattern graph
     supernodes_acyclic: bool  # every supernode's induced subgraph
@@ -371,7 +370,7 @@ class StructureReport:
     def as_pairs(self) -> list[tuple[str, bool]]:
         return [
             ("connected", self.connected),
-            ("well_designed", self.well_designed),
+            ("well_designed", True),  # classify's precondition: check_well_designed passed
             ("got_acyclic", self.got_acyclic),
             ("fully_reducible", self.fully_reducible),
             ("supernodes_acyclic", self.supernodes_acyclic),
@@ -396,8 +395,9 @@ def cross_edge_classes(gosn: Gosn, got: Got, master: int, slave: int) -> int:
     return len(equivalence_classes(labels))
 
 
-def classify(gosn: Gosn, got: Got, well_designed: bool = True) -> StructureReport:
-    """Decide whether nullification and best-match are needed.
+def classify(gosn: Gosn, got: Got) -> StructureReport:
+    """Decide whether nullification and best-match are needed for a
+    well-designed query (one that passed ``check_well_designed``).
 
     They can be skipped when the pruned triples are guaranteed minimal or
     master-consistent: either the whole pattern graph and every supernode's
@@ -435,15 +435,9 @@ def classify(gosn: Gosn, got: Got, well_designed: bool = True) -> StructureRepor
     skip_by_acyclicity = got_acyclic and sn_acyclic and reducible and sn_reducible
     skip_by_hierarchy = slaves_ac and slaves_red and one_class
     abs_only = (not got_acyclic) and skip_by_hierarchy
-    nb = not (
-        well_designed
-        and connected
-        and sn_connected
-        and (skip_by_acyclicity or skip_by_hierarchy)
-    )
+    nb = not (connected and sn_connected and (skip_by_acyclicity or skip_by_hierarchy))
     return StructureReport(
         connected=connected,
-        well_designed=well_designed,
         got_acyclic=got_acyclic,
         fully_reducible=reducible,
         supernodes_acyclic=sn_acyclic,
@@ -462,11 +456,3 @@ def check_property_one(gosn: Gosn, got: Got) -> bool:
     connected among themselves."""
     ids = {tp.index for tp in gosn.supernodes[gosn.abs_id].patterns}
     return got.subgraph(ids).connected()
-
-
-def check_property_two(gosn: Gosn) -> bool:
-    """No slave supernode has more than one incoming unidirectional edge."""
-    incoming: dict[int, int] = {}
-    for m, s in gosn.uni_edges:
-        incoming[s] = incoming.get(s, 0) + 1
-    return all(count <= 1 for count in incoming.values())

@@ -7,6 +7,7 @@ lexicographically; IRIs support equality only.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 
@@ -31,11 +32,36 @@ class Literal:
     def n3(self) -> str:
         if self.is_integer:
             return str(self.value)
-        escaped = str(self.value).replace("\\", "\\\\").replace('"', '\\"')
+        # No line break survives: dict.tsv keeps one rendered term per line.
+        value = str(self.value)
+        escaped = value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n").replace("\r", "\\r")
         return f'"{escaped}"'
 
 
 Term = Iri | Literal
+
+_ECHAR = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
+_ESCAPE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))", re.DOTALL)
+
+
+def unescape(body: str) -> str:
+    """Decode the escapes of a string literal's body: ECHAR (``\\t \\b \\n
+    \\r \\f \\" \\' \\\\``) and UCHAR (``\\uXXXX``, ``\\UXXXXXXXX``). Raises
+    ValueError for any other escape and for a code point that is a surrogate
+    or above U+10FFFF."""
+
+    def decode(m: re.Match) -> str:
+        digits = m.group(1) or m.group(2)
+        if digits is None:
+            if m.group(3) not in _ECHAR:
+                raise ValueError(f"unknown escape \\{m.group(3)}")
+            return _ECHAR[m.group(3)]
+        code = int(digits, 16)
+        if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+            raise ValueError(f"escape {m.group(0)} is not a Unicode scalar value")
+        return chr(code)
+
+    return _ESCAPE.sub(decode, body) if "\\" in body else body
 
 
 def term_sort_key(term: Term) -> tuple:

@@ -143,6 +143,31 @@ class TestQuery:
         assert main(["query", str(store_dir), qpath]) == EXIT_REJECTED
         assert main(["query", str(store_dir), qpath, "--oracle"]) == EXIT_OK
 
+    def test_escaped_literal_matches_data(self, tmp_path, capsys):
+        data = tmp_path / "d.nt"
+        data.write_text(f'<{EX}a> <{EX}p> "tab\\there\\u00e9" .\n<{EX}b> <{EX}p> "tab\\\\there" .\n')
+        assert main(["load", str(tmp_path / "s"), str(data)]) == EXIT_OK
+        capsys.readouterr()
+        for literal in ('"tab\\there\\u00e9"', '"\\u0074ab\\there\\U000000E9"'):
+            qpath = write_query(tmp_path, f"SELECT ?x WHERE {{ ?x :p {literal} }}")
+            assert main(["query", str(tmp_path / "s"), qpath]) == EXIT_OK
+            assert capsys.readouterr().out == f"?x\n<{EX}a>\n"
+        qpath = write_query(tmp_path, 'SELECT ?x ?v WHERE { ?x :p ?v FILTER(?v = "tab\\\\there") }')
+        assert main(["query", str(tmp_path / "s"), qpath]) == EXIT_OK
+        assert capsys.readouterr().out == f'?x\t?v\n<{EX}b>\t"tab\\\\there"\n'
+
+    @pytest.mark.parametrize("escape", ["\\uDC00", "\\U00110000"])
+    def test_escape_outside_unicode_fails_cleanly(self, tmp_path, store_dir, capsys, escape):
+        data = tmp_path / "bad.nt"
+        data.write_text(f'<{EX}a> <{EX}p> "x{escape}" .\n')
+        assert main(["load", str(tmp_path / "s"), str(data)]) == EXIT_IO
+        qpath = write_query(tmp_path, f'SELECT ?x WHERE {{ ?x :p "x{escape}" }}')
+        assert main(["query", str(store_dir), qpath]) == EXIT_REJECTED
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 2 and all(line.startswith("error: ") for line in err), err
+        assert "line 1" in err[0] and "syntax" in err[1]
+
     def test_syntax_error_rejected(self, tmp_path, store_dir):
         qpath = write_query(tmp_path, "SELECT ?x WHERE { ?x :p }")
         assert main(["query", str(store_dir), qpath]) == EXIT_REJECTED
@@ -258,14 +283,19 @@ def _slice_key_repeated(store_dir):
     _set_word(store_dir / "bm_so_3.bin", 1, 1)
 
 
-def _row_past_width(store_dir):
-    path = store_dir / "bm_so_1.bin"
+def _first_row(path):
+    """A matrix file's words and the index of its first row's length word."""
     words = struct.unpack(f"<{path.stat().st_size // 4}I", path.read_bytes())
     at = 5
     for _ in range(2):  # skip the non-empty row and column masks
         at += 2 + words[at + 1]
-    first_row_len = words[at + 3]  # words: count, row index, tag, length
-    last_word = at + 3 + first_row_len
+    return words, at + 3  # words: count, row index, tag, length
+
+
+def _row_past_width(store_dir):
+    path = store_dir / "bm_so_1.bin"
+    words, at = _first_row(path)
+    last_word = at + words[at]
     _set_word(path, last_word, words[last_word] + 1000)
 
 
@@ -493,6 +523,28 @@ class TestResealedDamage:
         captured = capsys.readouterr()
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
+        assert captured.out == ""
+
+
+    def test_unordered_positions(self, tmp_path, capsys):
+        # Three subjects over six objects; row s0 is stored as the positions
+        # 1 4 (:o0 and :o3), rewritten here as 4 1.
+        data = tmp_path / "grid.nt"
+        data.write_text("".join(f"<{EX}s{i % 3}> <{EX}p> <{EX}o{i}> .\n" for i in range(6)))
+        directory = tmp_path / "grid"
+        assert main(["load", str(directory), str(data)]) == EXIT_OK
+        path = directory / "bm_so_1.bin"
+        words, at = _first_row(path)
+        assert words[at - 2 : at + 3] == (1, 2, 2, 1, 4)  # row index, tag, length, payload
+        _set_word(path, at + 1, 4)
+        _set_word(path, at + 2, 1)
+        _reseal(directory, path.name)
+        capsys.readouterr()
+        qpath = write_query(tmp_path, "SELECT ?s WHERE { ?s :p :o3 }")
+        assert main(["query", str(directory), qpath]) == EXIT_IO
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "bm_so_1.bin" in err[0], err
         assert captured.out == ""
 
 

@@ -1,11 +1,16 @@
 """Query text parsing, tree shapes, serialization round trips, safety and
 well-designedness rejection, and three-valued filter evaluation."""
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from bitopt.algebra import (
+    JOIN_SYM,
+    LEFTJOIN_SYM,
+    UNION_SYM,
     And,
     Bgp,
     Comparison,
@@ -14,19 +19,71 @@ from bitopt.algebra import (
     LeftJoin,
     NotWellDesignedError,
     Or,
+    PatternNode,
     Union,
     UnsafeFilterError,
     Variable,
     eval_filter,
     node_vars,
-    parse_algebra,
-    same_shape,
     serialize,
 )
 from bitopt.parser import QuerySyntaxError, parse
 from bitopt.terms import Iri, Literal
 
 from conftest import EX, FILTER_QUERY, Q1_TEXT, Q2_TEXT
+
+
+_ALG_TOKEN = re.compile(r"P\d+|[()]|" + JOIN_SYM + "|" + LEFTJOIN_SYM + "|" + UNION_SYM)
+
+
+def parse_algebra(text: str) -> PatternNode:
+    """Parse the filter-free infix notation back into a shape tree (each
+    P-atom becomes an empty BGP); used for round-trip checks."""
+    tokens = _ALG_TOKEN.findall(text)
+    pos = [0]
+
+    def peek() -> "str | None":
+        return tokens[pos[0]] if pos[0] < len(tokens) else None
+
+    def take() -> str:
+        tok = tokens[pos[0]]
+        pos[0] += 1
+        return tok
+
+    def atom() -> PatternNode:
+        tok = take()
+        if tok == "(":
+            node = expr()
+            if take() != ")":
+                raise ValueError("unbalanced parentheses in algebra text")
+            return node
+        if tok.startswith("P"):
+            return Bgp(())
+        raise ValueError(f"unexpected token {tok!r}")
+
+    def expr() -> PatternNode:
+        node = atom()
+        while peek() in (JOIN_SYM, LEFTJOIN_SYM, UNION_SYM):
+            op = take()
+            rhs = atom()
+            cls = {JOIN_SYM: Join, LEFTJOIN_SYM: LeftJoin, UNION_SYM: Union}[op]
+            node = cls(node, rhs)
+        return node
+
+    node = expr()
+    if peek() is not None:
+        raise ValueError(f"trailing algebra tokens at {pos[0]}")
+    return node
+
+
+def same_shape(a: PatternNode, b: PatternNode) -> bool:
+    if isinstance(a, Bgp) and isinstance(b, Bgp):
+        return True
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, Filter):
+        return same_shape(a.inner, b.inner)
+    return same_shape(a.left, b.left) and same_shape(a.right, b.right)
 
 
 class TestParsing:

@@ -13,7 +13,6 @@ from bitopt.pruning import (
     GREEDY_ALL,
     PER_SUPERNODE,
     PruneContext,
-    build_schedule,
     load_matrices,
     pick_regime,
     prune_triples,
@@ -66,7 +65,7 @@ class TestScheduleShapes:
         q, ctx = prepare(Q1_TEXT, seinfeld_store, prune=False)
         stats = {idx: pm.count for idx, pm in ctx.matrices.items()}
         assert stats == {1: 2, 2: 5, 3: 1}
-        schedule = build_schedule(ctx.gosn, ctx.got, ctx.report, stats)
+        schedule = prune_triples(ctx)
         assert schedule.regime == PER_SUPERNODE
         (sid_abs, bu_abs, td_abs), (sid2, bu, td) = schedule.per_sn
         assert bu_abs == [] and td_abs == []
@@ -88,8 +87,7 @@ class TestScheduleShapes:
             got = build_got(gosn)
             report = classify(gosn, got)
             matrices, _ = load_matrices(store, gosn, got, [])
-            stats = {idx: pm.count for idx, pm in matrices.items()}
-            schedule = build_schedule(gosn, got, report, stats)
+            schedule = prune_triples(PruneContext(store, gosn, got, report, matrices))
             for _, bu, td in schedule.per_sn:
                 flipped = [
                     (s.source, s.target, s.join_vars) for s in reversed(bu) if not s.transfer
@@ -109,8 +107,7 @@ class TestScheduleShapes:
     def test_single_pattern_slave_gets_transfer_only(self, seinfeld_store):
         text = "SELECT ?a ?b WHERE { :Jerry :hasFriend ?a . OPTIONAL { ?a :actedIn ?b . } }"
         _, ctx = prepare(text, seinfeld_store, prune=False)
-        stats = {idx: pm.count for idx, pm in ctx.matrices.items()}
-        schedule = build_schedule(ctx.gosn, ctx.got, ctx.report, stats)
+        schedule = prune_triples(ctx)
         _, (sid, bu, td) = schedule.per_sn[0], schedule.per_sn[1]
         assert [s.describe() for s in bu] == ["T2 ⋉ T1 over {?a}  (master transfer)"]
         assert td == []

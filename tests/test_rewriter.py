@@ -16,13 +16,14 @@ from bitopt.algebra import (
     node_vars,
     filter_vars,
     serialize,
+    top_conjuncts,
 )
 from bitopt.executor import Relation, best_match
 from bitopt.oracle import oracle_eval
 from bitopt.parser import parse
 from bitopt.rewriter import (
-    classify_loadtime_filters,
     collect_scoped_conjuncts,
+    is_loadtime,
     push_filters,
     to_unf,
 )
@@ -114,8 +115,7 @@ class TestLoadtimeClassification:
                 Comparison("!=", Variable("b"), Literal(10)),
             )
         )
-        loadtime, residual = classify_loadtime_filters(expr)
-        assert len(loadtime) == 2 and not residual
+        assert [is_loadtime(c) for c in top_conjuncts(expr)] == [True, True]
 
     def test_disjunction_wholly_residual(self):
         expr = Or(
@@ -124,13 +124,12 @@ class TestLoadtimeClassification:
                 Comparison("=", Variable("b"), Literal(1)),
             )
         )
-        loadtime, residual = classify_loadtime_filters(expr)
-        assert not loadtime and len(residual) == 1
+        assert [is_loadtime(c) for c in top_conjuncts(expr)] == [False]
 
     def test_multi_variable_conjunct_residual(self):
         expr = Comparison("=", Variable("a"), Variable("b"))
-        loadtime, residual = classify_loadtime_filters(expr)
-        assert not loadtime and residual == (expr,)
+        assert top_conjuncts(expr) == (expr,)
+        assert not is_loadtime(expr)
 
     def test_scoped_collection_orders_innermost_first(self):
         q = parse(

@@ -43,6 +43,17 @@ class TestNTriples:
         objs = [o for _, _, o in parse_ntriples(text)]
         assert objs == [Literal(45), Literal(55)]
 
+    def test_escapes_decoded(self):
+        text = f'<{EX}a> <{EX}p> "tab\\there\\u00e9" .\n<{EX}a> <{EX}p> "\\U0001F600 \\" \\\\ \\b\\f\\r\\n\\\'" .'
+        objs = [o for _, _, o in parse_ntriples(text)]
+        assert objs == [Literal("tab\thereé"), Literal("\U0001F600 \" \\ \b\f\r\n'")]
+
+    @pytest.mark.parametrize("escape", ["\\uD800", "\\U00110000", "\\q", "\\u00e"])
+    def test_bad_escape_rejected(self, escape):
+        with pytest.raises(NTriplesError) as err:
+            list(parse_ntriples(f'<{EX}a> <{EX}p> <{EX}b> .\n<{EX}a> <{EX}p> "x{escape}" .'))
+        assert "line 2" in str(err.value)
+
 
 class TestDictionary:
     def test_shared_terms_get_low_ids(self, seinfeld_store):
@@ -164,6 +175,15 @@ class TestPersistence:
             assert set(reopened.bitmat("SO", pid).cells()) == set(
                 store.bitmat("SO", pid).cells()
             )
+
+    def test_escaped_literal_round_trip(self, tmp_path):
+        value = 'tab\there, newline\nthere, "quoted" \\ back\r'
+        store = TripleStore.from_ntriples(f'<{EX}a> <{EX}p> "{Literal(value).n3()[1:-1]}" .\n')
+        store.save(str(tmp_path))
+        assert (tmp_path / "dict.tsv").read_bytes().count(b"\n") == 3
+        # Each open reads the line afresh: one by searching, one by parsing it.
+        assert TripleStore.open(str(tmp_path)).dictionary.object_id(Literal(value)) == 1
+        assert TripleStore.open(str(tmp_path)).term_triples() == [(iri("a"), iri("p"), Literal(value))]
 
     def test_header_counts_validated(self, tmp_path):
         store = TripleStore.from_ntriples(SEINFELD_NT)
