@@ -31,6 +31,7 @@ import tempfile
 import time
 from collections import Counter
 from contextlib import contextmanager
+from pathlib import Path
 
 import bitopt.store
 from bitopt.algebra import Query
@@ -39,7 +40,9 @@ from bitopt.executor import MultiWayJoin, Relation, RunConfig, best_match, run_q
 from bitopt.oracle import oracle_eval
 from bitopt.store import TripleStore
 from bitopt.structure import DisconnectedQueryError
-from bitopt.workload import GenConfig, random_query, random_store_text
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from workload import GenConfig, random_query, random_store_text  # noqa: E402
 
 DISTINCT_PATHS = ("bmm-bgp", "bmm-bgp-opt", "naive")
 TEXTUAL_ORDER = RunConfig(prune=False, unsafe_order=True, nullify="on", best_match="on")

@@ -371,5 +371,5 @@ def _evaluate_mcs(mcs: Mcs, gosn: Gosn, store: TripleStore, query: Query) -> Rel
     engine's pipelined join, emit its rows over the distinct variables (one
     no surviving matrix binds is NULL), and dedup with subsumption."""
     join = MultiWayJoin(gosn, mcs.nodes, build_stps(gosn, mcs, mcs.nodes), store)
-    rows = term_rows(join.run(), query.projection, store.dictionary)
+    rows = term_rows(join, query.projection)
     return best_match(Relation(query.projection, list(rows)))

@@ -6,14 +6,15 @@ form; ``execute`` runs one join per disjunct and applies minimum union where
 required.
 
 The join keeps no intermediate tables: its only mutable state is one
-variable-binding map plus a recursion stack bounded by the pattern count.
+binding list (a cell per variable), one status list (a cell per pattern)
+and a recursion stack bounded by the pattern count.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .algebra import (
     Bgp,
@@ -33,7 +34,7 @@ from .bitmat import transpose
 from .patmat import PatternMatrix, UnsupportedByIndexError
 from .pruning import PruneContext, PruneSchedule, load_matrices, prune_triples
 from .rewriter import ScopedConjunct, collect_scoped_conjuncts, to_unf, push_filters
-from .store import Dictionary, TripleStore
+from .store import TripleStore
 from .structure import (
     DisconnectedQueryError,
     Gosn,
@@ -165,22 +166,6 @@ def build_stps(gosn: Gosn, got: Got, matrices: dict[int, PatternMatrix]) -> list
 # Multi-way pipelined join
 
 
-def _oriented(matrices: dict[int, PatternMatrix], stps: list[int]) -> dict[int, PatternMatrix]:
-    """The ``stps`` matrices, each two-variable one turned so that the
-    variable an earlier matrix binds sits on its rows: a probe then reads one
-    row and never scans every row for one column. A turned matrix is a
-    transposed copy owned by the join; ``matrices`` is left as it is."""
-    bound: set[Variable] = set()
-    out: dict[int, PatternMatrix] = {}
-    for idx in stps:
-        pm = matrices[idx]
-        if pm.row_var is not None and pm.col_var in bound and pm.row_var not in bound:
-            pm = PatternMatrix(pm.pattern, pm.col_var, pm.row_var, transpose(pm.bm), pm.sid)
-        bound.update(pm.vars())
-        out[idx] = pm
-    return out
-
-
 @dataclass
 class JoinStats:
     max_vmap_cells: int = 0
@@ -189,15 +174,35 @@ class JoinStats:
     nullified_rows: int = 0
 
 
+class _Depth(NamedTuple):
+    """How one depth probes its matrix, in slots of the binding list. A
+    dimension is fixed by the key in the slot of a variable an earlier depth
+    binds (``*_slot``), or it is free and fills its variable's slot from
+    each cell (``fill_*``). A UNIT dimension is free and fills nothing: it
+    has the one position 1."""
+
+    pm: PatternMatrix
+    row_slot: "int | None"
+    fill_row: "int | None"
+    col_slot: "int | None"
+    fill_col: "int | None"
+    skipped_by: tuple[int, ...]  # earlier depths whose failure skips this one
+
+
 class MultiWayJoin:
     """Depth-first enumeration over the stps order.
 
-    The first matrix enumerates its triples; each later matrix enumerates
-    triples consistent with the binding map, read from the row of the
-    variable bound first (see ``_oriented``). A matrix is a triple pattern or
-    a DISTINCT product; either way its ``sid`` names its supernode. A slave
-    matrix with no consistent triple NULL-extends: its whole supernode
-    closure is marked skipped so the optional block fails as a unit. An
+    ``__init__`` walks the order once. It gives each variable a slot of the
+    binding list, in the order the join first binds it (``slot``), turns each
+    two-variable matrix whose column variable an earlier matrix binds, so a
+    probe reads one row and never scans every row for one column (a turned
+    matrix is a transposed copy owned by the join; ``matrices`` is left as it
+    is), and fixes each depth's probe plan (``_Depth``). The first matrix
+    enumerates its triples; each later one the cells that agree with the
+    slots its plan reads. A matrix is a triple pattern or a DISTINCT product;
+    either way its ``sid`` names its supernode. A slave matrix with no
+    consistent triple NULL-extends: the later depths of its supernode's slave
+    closure are skipped, so the optional block fails as a unit. An
     absolute-master mismatch backtracks. At full depth nullification (when
     required) and the residual filter conjuncts run before the row is
     emitted.
@@ -213,13 +218,25 @@ class MultiWayJoin:
         residual: Sequence[ScopedConjunct] = (),
     ):
         self.gosn = gosn
-        self.stps = stps
         self.store = store
         self.nulreqd = nulreqd
-        self.by_index = _oriented(matrices, stps)
         self.stats = JoinStats()
-        self._sn_vars = {
-            sid: gosn.sn_vars(sid) for sid in gosn.supernodes
+        self.slot: dict[Variable, int] = {}
+        self.plan: list[_Depth] = []
+        self._sn_depths: dict[int, list[int]] = defaultdict(list)  # slave supernode -> its depths
+        closures = {sid: gosn.slave_closure(sid) for sid in gosn.supernodes}
+        for depth, idx in enumerate(stps):
+            pm = matrices[idx]
+            if pm.row_var is not None and pm.col_var in self.slot and pm.row_var not in self.slot:
+                pm = PatternMatrix(pm.pattern, pm.col_var, pm.row_var, transpose(pm.bm), pm.sid)
+            known = len(self.slot)
+            skipped_by = tuple(d for sid, depths in self._sn_depths.items() if pm.sid in closures[sid] for d in depths)
+            self.plan.append(_Depth(pm, *self._place(pm.row_var, known), *self._place(pm.col_var, known), skipped_by))
+            if pm.sid != gosn.abs_id:
+                self._sn_depths[pm.sid].append(depth)
+        self._sn_slots = {
+            sid: frozenset(self.slot[v] for v in gosn.sn_vars(sid) if v in self.slot)
+            for sid in gosn.supernodes
         }
         # Per residual conjunct, the slave closures its failure nulls; none
         # means it reads master bindings only and its failure drops the row.
@@ -229,7 +246,15 @@ class MultiWayJoin:
             slave_homes = sorted(
                 {homes[v] for v in sc.vars if homes.get(v, gosn.abs_id) != gosn.abs_id}
             )
-            self._residual.append((sc.conjunct, [gosn.slave_closure(sid) for sid in slave_homes]))
+            self._residual.append((sc.conjunct, [closures[sid] for sid in slave_homes]))
+
+    def _place(self, var: "Variable | None", known: int) -> "tuple[int | None, int | None]":
+        """(fixing slot, filled slot) of a dimension whose variable is
+        ``var``, when the first ``known`` slots are bound."""
+        if var is None:
+            return None, None
+        slot = self.slot.setdefault(var, len(self.slot))
+        return (slot, None) if slot < known else (None, slot)
 
     def _compute_homes(self) -> dict[Variable, int]:
         rank = {sid: i for i, sid in enumerate(self.gosn.topo_order())}
@@ -241,115 +266,97 @@ class MultiWayJoin:
                         homes[v] = sid
         return homes
 
-    def run(self) -> Iterator[dict[Variable, "int | None"]]:
-        vmap: dict[Variable, "int | None"] = {}
-        status: dict[int, str] = {}
-        yield from self._recurse(0, vmap, status)
+    def run(self) -> Iterator[list["int | None"]]:
+        """Yield each row as a new list of join keys indexed by ``slot``;
+        NULL is None."""
+        vals: list["int | None"] = [None] * len(self.slot)
+        self.stats.max_vmap_cells = len(vals)
+        yield from self._recurse(0, vals, [None] * len(self.plan))
 
-    def _recurse(self, depth: int, vmap, status) -> Iterator[dict]:
+    def _recurse(self, depth: int, vals: list, status: list) -> Iterator[list]:
         self.stats.max_depth = max(self.stats.max_depth, depth + 1)
-        self.stats.max_vmap_cells = max(self.stats.max_vmap_cells, len(vmap))
-        if depth == len(self.stps):
-            row = self._finish(dict(vmap), status)
+        if depth == len(self.plan):
+            row = self._finish(vals[:], status)
             if row is not None:
                 self.stats.rows_emitted += 1
                 yield row
             return
-        idx = self.stps[depth]
-        if status.get(idx) == SKIPPED:
-            yield from self._recurse(depth + 1, vmap, status)
-            return
-        pm = self.by_index[idx]
-        matched = False
-        for binding in pm.bindings(vmap, self.store.dictionary):
-            matched = True
-            added = [v for v in binding if v not in vmap]
-            vmap.update(binding)
-            status[idx] = BOUND
-            yield from self._recurse(depth + 1, vmap, status)
-            for v in added:
-                del vmap[v]
-            del status[idx]
-        if matched:
-            return
-        if pm.sid == self.gosn.abs_id:
-            return  # absolute masters cannot take NULL bindings: backtrack
-        # Fail the whole optional block: this supernode's unvisited patterns
-        # and every transitive slave go NULL together.
-        closure = self.gosn.slave_closure(pm.sid)
-        to_skip = [
-            j
-            for j in self.stps[depth + 1 :]
-            if self.by_index[j].sid in closure and status.get(j) is None
-        ]
-        nulled = []
-        for j in [idx] + to_skip:
-            for v in self.by_index[j].vars():
-                if v not in vmap:
-                    vmap[v] = None
-                    nulled.append(v)
-        status[idx] = FAILED
-        for j in to_skip:
-            status[j] = SKIPPED
-        yield from self._recurse(depth + 1, vmap, status)
-        for v in nulled:
-            del vmap[v]
-        del status[idx]
-        for j in to_skip:
-            del status[j]
+        pm, row_slot, fill_row, col_slot, fill_col, skipped_by = self.plan[depth]
+        if skipped_by and any(status[d] == FAILED for d in skipped_by):
+            status[depth] = SKIPPED
+        else:
+            bm = pm.bm
+            position, key = self.store.dictionary.position, self.store.dictionary.key
+            r = None if row_slot is None else position(vals[row_slot], bm.row_space) or 0
+            c = None if col_slot is None else position(vals[col_slot], bm.col_space) or 0
+            status[depth] = BOUND
+            matched = False
+            for r, c in pm.bindings(r, c):
+                matched = True
+                if fill_row is not None:
+                    vals[fill_row] = key(bm.row_space, r)
+                if fill_col is not None:
+                    vals[fill_col] = key(bm.col_space, c)
+                yield from self._recurse(depth + 1, vals, status)
+            if matched or pm.sid == self.gosn.abs_id:
+                return  # absolute masters cannot take NULL bindings: backtrack
+            status[depth] = FAILED
+        for s in (fill_row, fill_col):
+            if s is not None:
+                vals[s] = None
+        yield from self._recurse(depth + 1, vals, status)
 
     # -- row post-processing -------------------------------------------------
 
-    def _finish(self, vmap, status) -> "dict | None":
+    def _finish(self, row: list, status: list) -> "list | None":
         if self.nulreqd:
             self.stats.nullified_rows += _nullify_inconsistent(
-                self.gosn, self._sn_vars, vmap, status
+                self.gosn, self._sn_depths, self._sn_slots, row, status
             )
         for conjunct, closures in self._residual:
-            verdict = eval_filter(
-                conjunct,
-                lambda v: None
-                if vmap.get(v) is None
-                else self.store.dictionary.term(vmap[v]),
-            )
+            verdict = eval_filter(conjunct, lambda v: self._term(row, v))
             if verdict is True:
                 continue
             if not closures:
                 return None  # filter over master bindings only: drop the row
             for closure in closures:
-                self.stats.nullified_rows += _null_supernodes(self._sn_vars, vmap, closure)
-        return vmap
+                self.stats.nullified_rows += _null_supernodes(self._sn_slots, row, closure)
+        return row
+
+    def _term(self, row: list, var: Variable) -> "Term | None":
+        s = self.slot.get(var)
+        return None if s is None or row[s] is None else self.store.dictionary.term(row[s])
 
 
-def _nullify_inconsistent(gosn: Gosn, sn_vars: dict[int, frozenset[Variable]], vmap, status) -> int:
-    """Null every slave supernode where some pattern bound a triple while
-    a peer failed, plus the transitive slaves of anything nulled. Returns
-    the number of bindings nulled."""
+def _nullify_inconsistent(
+    gosn: Gosn, sn_depths: dict[int, list[int]], sn_slots: dict[int, frozenset[int]], row: list, status: list
+) -> int:
+    """Null every slave supernode (``sn_depths``: its depths) where some
+    pattern bound a triple while a peer failed, plus the transitive slaves of
+    anything nulled. Returns the number of bindings nulled."""
     bad: set[int] = set()
-    for sid, sn in gosn.supernodes.items():
-        if sid == gosn.abs_id:
-            continue
-        states = {status.get(tp.index) for tp in sn.patterns}
+    for sid, depths in sn_depths.items():
+        states = {status[d] for d in depths}
         if BOUND in states and (FAILED in states or SKIPPED in states):
             bad.add(sid)
     closure: set[int] = set()
     for sid in bad:
         closure |= gosn.slave_closure(sid)
-    return _null_supernodes(sn_vars, vmap, closure) if closure else 0
+    return _null_supernodes(sn_slots, row, closure) if closure else 0
 
 
-def _null_supernodes(sn_vars: dict[int, frozenset[Variable]], vmap, closure: set[int]) -> int:
-    """Null the variables of the ``closure`` supernodes that no supernode
+def _null_supernodes(sn_slots: dict[int, frozenset[int]], row: list, closure: set[int]) -> int:
+    """Null the slots of the ``closure`` supernodes that no supernode
     outside it shares; returns how many bindings were nulled."""
-    protected: set[Variable] = set()
-    for sid, names in sn_vars.items():
+    protected: set[int] = set()
+    for sid, slots in sn_slots.items():
         if sid not in closure:
-            protected |= names
+            protected |= slots
     nulled = 0
     for sid in closure:
-        for v in sn_vars[sid]:
-            if v not in protected and vmap.get(v) is not None:
-                vmap[v] = None
+        for s in sn_slots[sid]:
+            if s not in protected and row[s] is not None:
+                row[s] = None
                 nulled += 1
     return nulled
 
@@ -451,9 +458,7 @@ def plan_query(query: Query, store: TripleStore, config: "RunConfig | None" = No
     schedules: list[tuple[str, PruneSchedule]] = []
     applied_conjuncts: set[int] = set()
     for norm, gosn, got, report, scoped in components:
-        comp_matrices, applied = load_matrices(
-            store, gosn, got, scoped, active_prune=config.prune, loadtime_filters=config.prune
-        )
+        comp_matrices, applied = load_matrices(store, gosn, got, scoped, prune=config.prune)
         applied_conjuncts |= applied
         if config.prune:
             schedule = prune_triples(PruneContext(store, gosn, got, report, comp_matrices))
@@ -481,13 +486,13 @@ def plan_query(query: Query, store: TripleStore, config: "RunConfig | None" = No
     return Plan(store, config, header, unf.rule3_used, traces, schedules, matrices)
 
 
-def term_rows(
-    vmaps: Iterable[dict[Variable, "int | None"]], header: tuple[Variable, ...], dictionary: Dictionary
-) -> Iterator[tuple["Term | None", ...]]:
-    """One row of terms over ``header`` per binding map of join keys; a
-    variable the map leaves unbound or NULL is None."""
-    for vmap in vmaps:
-        yield tuple(None if vmap.get(v) is None else dictionary.term(vmap[v]) for v in header)
+def term_rows(join: MultiWayJoin, header: tuple[Variable, ...]) -> Iterator[tuple["Term | None", ...]]:
+    """Run ``join`` and turn each row into terms over ``header``; a variable
+    the join does not bind, or binds to NULL, is None."""
+    slots = [join.slot.get(v) for v in header]
+    term = join.store.dictionary.term
+    for vals in join.run():
+        yield tuple(None if s is None or vals[s] is None else term(vals[s]) for s in slots)
 
 
 def execute(plan: Plan) -> EngineResult:
@@ -497,7 +502,7 @@ def execute(plan: Plan) -> EngineResult:
     relation = Relation(plan.header)
     for trace in plan.disjuncts:
         join = MultiWayJoin(trace.gosn, trace.matrices, trace.stps, plan.store, trace.nulreqd, trace.residual)
-        relation.rows.extend(term_rows(join.run(), plan.header, plan.store.dictionary))
+        relation.rows.extend(term_rows(join, plan.header))
         trace.stats = join.stats
     if plan.config.best_match == "auto":
         apply_bm = plan.rule3_used or any(t.stats.nullified_rows for t in plan.disjuncts)

@@ -70,10 +70,12 @@ def _skip_ws(text: str, pos: int) -> int:
 
 def parse_ntriples(source: "str | bytes | io.IOBase | Iterable[str]") -> Iterator[tuple[Term, Term, Term]]:
     """Yield (subject, predicate, object) triples; duplicates are not collapsed here."""
+    # Only LF ends a line: str.splitlines() would also split inside a
+    # literal at U+2028, U+0085, a form feed and other breaks.
     if isinstance(source, bytes):
-        lines: Iterable[str] = source.decode("utf-8").splitlines()
+        lines: Iterable[str] = source.decode("utf-8").split("\n")
     elif isinstance(source, str):
-        lines = source.splitlines()
+        lines = source.split("\n")
     else:
         lines = (ln.decode("utf-8") if isinstance(ln, bytes) else ln for ln in source)
 

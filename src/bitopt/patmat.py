@@ -69,52 +69,23 @@ class PatternMatrix:
 
     # -- enumeration ----------------------------------------------------------
 
-    def bindings(self, bound: dict[Variable, "int | None"], dictionary: Dictionary) -> Iterator[dict[Variable, int]]:
-        """Enumerate extensions consistent with ``bound``, binding join keys
-        (``Dictionary.key``). A NULL value, or the key of a term that cannot
-        occur on the variable's dimension, matches nothing. A column variable
-        bound to a term needs the row variable bound too: the join orients
-        each matrix so the variable it binds first sits on the rows."""
+    def bindings(self, r: "int | None", c: "int | None") -> Iterator[tuple[int, int]]:
+        """Yield the (row, column) cells of the matrix in row ``r`` and
+        column ``c``. None leaves a dimension free; 0, which is no position,
+        matches nothing."""
         bm = self.bm
-        rv, cv = self.row_var, self.col_var
-        diagonal = rv is not None and rv == cv
-        r = c = None
-        if rv is None:
-            r = 1  # the one row of a slice
-        elif rv in bound:
-            r = dictionary.position(bound[rv], bm.row_space)
-            if r is None:
-                return
-        if cv is None:
-            c = 1  # the one column of a ground pattern
-        elif diagonal:
-            c = r
-        elif cv in bound:
-            c = dictionary.position(bound[cv], bm.col_space)
-            if c is None:
-                return
-        if r is not None and c is not None:
-            if bm.test(r, c):
-                yield {}
+        if r == 0 or c == 0:
             return
-        key = dictionary.key
-        if r is not None:
-            mask = bm.row_bits(r)
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                yield {cv: key(bm.col_space, low.bit_length())}
-            return
-        for ridx in sorted(bm.rows):
-            row_key = key(bm.row_space, ridx)
+        for ridx in sorted(bm.rows) if r is None else (r,):
+            if c is not None:
+                if bm.test(ridx, c):
+                    yield ridx, c
+                continue
             mask = bm.row_bits(ridx)
             while mask:
                 low = mask & -mask
                 mask ^= low
-                if diagonal:
-                    yield {rv: row_key}
-                else:
-                    yield {rv: row_key, cv: key(bm.col_space, low.bit_length())}
+                yield ridx, low.bit_length()
 
 
 def select_pattern_matrix(

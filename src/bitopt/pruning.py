@@ -132,15 +132,14 @@ def load_matrices(
     gosn: Gosn,
     got: Got,
     scoped_conjuncts: list[ScopedConjunct],
-    active_prune: bool = True,
-    loadtime_filters: bool = True,
+    prune: bool = True,
 ) -> tuple[dict[int, PatternMatrix], set[int]]:
     """Load working matrices in master-first order.
 
-    While loading, apply eligible single-variable filter conjuncts as masks
-    and actively prune with the bindings of already-loaded patterns that are
-    masters or peers of the loading one. Returns the matrices and the ids of
-    conjuncts consumed at load time.
+    With ``prune``, while loading, apply eligible single-variable filter
+    conjuncts as masks and actively prune with the bindings of
+    already-loaded patterns that are masters or peers of the loading one.
+    Returns the matrices and the ids of conjuncts consumed at load time.
     """
     sn_rank = {sid: i for i, sid in enumerate(gosn.topo_order())}
     patterns = sorted(
@@ -156,7 +155,7 @@ def load_matrices(
         first_join = _first_join_var(tp, got)
         pm = select_pattern_matrix(store, tp, first_join)
         pm.sid = gosn.sn_of_pattern[tp.index]
-        if loadtime_filters:
+        if prune:
             for sc in scoped_conjuncts:
                 if not is_loadtime(sc.conjunct):
                     continue
@@ -164,7 +163,6 @@ def load_matrices(
                 if var in tp.vars() and tp.index in scope_patterns[id(sc)]:
                     apply_loadtime_conjunct(pm, sc.conjunct, var, store.dictionary)
                     applied.add(id(sc.conjunct))
-        if active_prune:
             my_sid = pm.sid
             for other, label in got.incident(tp.index):
                 if other not in matrices:

@@ -74,5 +74,6 @@ def term_sort_key(term: Term) -> tuple:
 
 
 def render_term(term: "Term | None") -> str:
-    """TSV rendering; NULL becomes the empty field."""
-    return "" if term is None else term.n3()
+    """TSV rendering; NULL becomes the empty field. A tab in a literal is
+    written as ``\\t``, so every row keeps one field per column."""
+    return "" if term is None else term.n3().replace("\t", "\\t")

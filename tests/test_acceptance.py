@@ -21,7 +21,7 @@ from bitopt.parser import parse
 from bitopt.rewriter import push_filters, to_unf
 from bitopt.store import TripleStore
 from bitopt.structure import DisconnectedQueryError, is_acyclic
-from bitopt.workload import GenConfig, random_query, random_store_text
+from workload import GenConfig, random_query, random_store_text
 
 from conftest import (
     EX,

@@ -156,6 +156,30 @@ class TestQuery:
         assert main(["query", str(tmp_path / "s"), qpath]) == EXIT_OK
         assert capsys.readouterr().out == f'?x\t?v\n<{EX}b>\t"tab\\\\there"\n'
 
+    @pytest.mark.parametrize("oracle", [[], ["--oracle"]])
+    def test_tab_in_literal_keeps_one_field(self, tmp_path, capsys, oracle):
+        data = tmp_path / "d.nt"
+        data.write_text(f'<{EX}a> <{EX}p> "x\\ty" .\n')
+        assert main(["load", str(tmp_path / "s"), str(data)]) == EXIT_OK
+        capsys.readouterr()
+        qpath = write_query(tmp_path, "SELECT ?x ?v WHERE { ?x :p ?v }")
+        assert main(["query", str(tmp_path / "s"), qpath, *oracle]) == EXIT_OK
+        assert capsys.readouterr().out == f'?x\t?v\n<{EX}a>\t"x\\ty"\n'
+
+    @pytest.mark.parametrize("oracle", [[], ["--oracle"]])
+    def test_raw_line_breaks_in_literal_round_trip(self, tmp_path, capsys, oracle):
+        # U+2028, U+2029, U+0085, form feed, vertical tab, U+001C: raw in the
+        # data, as UCHAR escapes in the query.
+        value = "x\u2028\u2029\x85\x0c\x0b\x1cy"
+        data = tmp_path / "d.nt"
+        data.write_bytes(f'<{EX}a> <{EX}p> "{value}" .\n<{EX}b> <{EX}p> "z" .\n'.encode("utf-8"))
+        assert main(["load", str(tmp_path / "s"), str(data)]) == EXIT_OK
+        capsys.readouterr()
+        literal = '"x\\u2028\\u2029\\u0085\\u000C\\u000B\\u001Cy"'
+        qpath = write_query(tmp_path, f"SELECT ?x ?v WHERE {{ ?x :p ?v FILTER(?v = {literal}) }}")
+        assert main(["query", str(tmp_path / "s"), qpath, *oracle]) == EXIT_OK
+        assert capsys.readouterr().out == f'?x\t?v\n<{EX}a>\t"{value}"\n'
+
     @pytest.mark.parametrize("escape", ["\\uDC00", "\\U00110000"])
     def test_escape_outside_unicode_fails_cleanly(self, tmp_path, store_dir, capsys, escape):
         data = tmp_path / "bad.nt"

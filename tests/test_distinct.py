@@ -12,7 +12,7 @@ from bitopt.distinct import distinct_eval
 from bitopt.parser import parse
 from bitopt.store import TripleStore
 from bitopt.structure import DisconnectedQueryError
-from bitopt.workload import GenConfig, random_query, random_store_text
+from workload import GenConfig, random_query, random_store_text
 
 from conftest import MOVIE_QUERY, local, rows_of
 

@@ -9,7 +9,7 @@ from bitopt.explain import render_explain
 from bitopt.parser import parse
 from bitopt.pruning import GREEDY_ABS, pick_regime
 from bitopt.store import TripleStore
-from bitopt.workload import GenConfig, random_query, random_store_text
+from workload import GenConfig, random_query, random_store_text
 from bitopt.structure import DisconnectedQueryError
 
 from conftest import EX, engine_relation, normalized, oracle_relation, rows_of

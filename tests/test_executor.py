@@ -16,6 +16,7 @@ from bitopt.executor import (
     RunConfig,
     best_match,
     build_stps,
+    plan_query,
     run_query,
     subsumes,
 )
@@ -30,7 +31,7 @@ from bitopt.structure import (
     classify,
 )
 from bitopt.terms import Iri, Literal
-from bitopt.workload import GenConfig, random_query, random_store_text
+from workload import GenConfig, random_query, random_store_text
 
 from conftest import (
     EX,
@@ -237,17 +238,21 @@ class TestSubsumption:
 
 
 class TestStandaloneNullification:
-    """The join's row hook, ``_nullify_inconsistent``, on binding maps of
-    join keys."""
+    """The join's row hook, ``_nullify_inconsistent``, on rows of join keys
+    laid out by the join's slots."""
 
     @staticmethod
-    def _nullify(vmap, status):
+    def _nullify(store, vmap, status):
         from bitopt.executor import _nullify_inconsistent
 
-        gosn = build_gosn(coalesce_bgps(parse(EXCEPTION2_QUERY).root))
-        out = dict(vmap)
-        _nullify_inconsistent(gosn, {sid: gosn.sn_vars(sid) for sid in gosn.supernodes}, out, status)
-        return out
+        trace = plan_query(parse(EXCEPTION2_QUERY), store).disjuncts[0]
+        join = MultiWayJoin(trace.gosn, trace.matrices, trace.stps, store, nulreqd=True)
+        row = [None] * len(join.slot)
+        for v, s in join.slot.items():
+            row[s] = vmap[v]
+        by_depth = [status[idx] for idx in trace.stps]
+        _nullify_inconsistent(trace.gosn, join._sn_depths, join._sn_slots, row, by_depth)
+        return {v: row[s] for v, s in join.slot.items()}
 
     @staticmethod
     def _vmap(store, a, b, c):
@@ -263,7 +268,7 @@ class TestStandaloneNullification:
         from bitopt.executor import BOUND, FAILED
 
         vmap = self._vmap(exception2_store, "a1", "b1", "c1")
-        out = self._nullify(vmap, {1: BOUND, 2: BOUND, 3: FAILED})
+        out = self._nullify(exception2_store, vmap, {1: BOUND, 2: BOUND, 3: FAILED})
         assert out[Variable("c")] is None
         assert out[Variable("a")] == vmap[Variable("a")] and out[Variable("b")] == vmap[Variable("b")]
 
@@ -271,7 +276,7 @@ class TestStandaloneNullification:
         from bitopt.executor import BOUND
 
         vmap = self._vmap(exception2_store, "a1", "b2", "c1")
-        assert self._nullify(vmap, {1: BOUND, 2: BOUND, 3: BOUND}) == vmap
+        assert self._nullify(exception2_store, vmap, {1: BOUND, 2: BOUND, 3: BOUND}) == vmap
 
 
 class TestSkippableNullificationIsNoOp:
@@ -377,12 +382,12 @@ class TestJoinOrientation:
                 loaded[id(pm)] = (pm, pm.row_var, pm.col_var)
             original_init(join, gosn, matrices, *args, **kwargs)
 
-        def bindings(pm, bound, dictionary):
+        def bindings(pm, r, c):
             nonlocal turned_probes
-            if pm.row_var is not None and pm.col_var in bound and pm.row_var not in bound:
+            if pm.row_var is not None and pm.col_var is not None and r is None and c is not None:
                 column_only.append(pm.label)
             turned_probes += id(pm) not in loaded
-            return original_bindings(pm, bound, dictionary)
+            return original_bindings(pm, r, c)
 
         monkeypatch.setattr(MultiWayJoin, "__init__", init)
         monkeypatch.setattr(PatternMatrix, "bindings", bindings)

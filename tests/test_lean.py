@@ -12,7 +12,6 @@ PACKAGE = ROOT / "src" / "bitopt"
 # Modules whose definitions need no caller in program code.
 ALLOWED_MODULES = {
     "oracle.py": "the brute-force reference evaluator that the engine is tested against",
-    "workload.py": "random stores and queries for the tests and scripts/agreement_experiment.py",
 }
 
 # A string constant that names a definition, e.g. ``"TripleStore.open"`` in

@@ -21,7 +21,7 @@ from bitopt.pruning import (
 from bitopt.store import TripleStore
 from bitopt.structure import build_gosn, build_got, classify
 from bitopt.terms import Iri
-from bitopt.workload import GenConfig, random_query, random_store_text
+from workload import GenConfig, random_query, random_store_text
 
 from conftest import EX, EXCEPTION2_QUERY, Q1_TEXT, SEINFELD_NT, cell_bindings, local
 
@@ -32,7 +32,7 @@ def prepare(text, store, prune=True):
     gosn = build_gosn(node)
     got = build_got(gosn)
     report = classify(gosn, got)
-    matrices, _ = load_matrices(store, gosn, got, [], active_prune=prune)
+    matrices, _ = load_matrices(store, gosn, got, [], prune=prune)
     ctx = PruneContext(store, gosn, got, report, matrices)
     return q, ctx
 
@@ -119,8 +119,8 @@ class TestSemiJoinExecution:
         t2, t1 = ctx.matrices[2], ctx.matrices[1]
         semi_join(t2, t1, frozenset(t1.vars()) & frozenset(t2.vars()), seinfeld_store.dictionary)
         subjects = {
-            local(seinfeld_store.dictionary.term(b[t2.pattern.s]))
-            for b in (dict(x) for x in t2.bindings({}, seinfeld_store.dictionary))
+            local(b[t2.pattern.s])
+            for b in cell_bindings(t2, seinfeld_store.dictionary)
         }
         assert subjects == {"Julia", "Larry"}
 

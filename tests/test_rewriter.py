@@ -29,7 +29,7 @@ from bitopt.rewriter import (
 )
 from bitopt.store import TripleStore
 from bitopt.terms import Literal
-from bitopt.workload import GenConfig, random_query, random_store_text
+from workload import GenConfig, random_query, random_store_text
 
 from conftest import FILTER_QUERY, Q2_TEXT
 

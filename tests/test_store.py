@@ -11,13 +11,17 @@ from bitopt.ntriples import NTriplesError, parse_ntriples
 from bitopt.patmat import UnsupportedByIndexError, select_pattern_matrix
 from bitopt.store import TripleStore
 from bitopt.terms import Iri, Literal, term_sort_key
-from bitopt.workload import GenConfig, random_store_text
+from workload import GenConfig, random_store_text
 
 from conftest import EX, SEINFELD_NT
 
 
 def iri(name: str) -> Iri:
     return Iri(EX + name)
+
+
+# Characters str.splitlines() breaks at that N-Triples allows raw in a literal.
+RAW_BREAKS = ["\u2028", "\u2029", "\x85", "\x0c", "\x0b", "\x1c", "\x1d", "\x1e"]
 
 
 class TestNTriples:
@@ -47,6 +51,13 @@ class TestNTriples:
         text = f'<{EX}a> <{EX}p> "tab\\there\\u00e9" .\n<{EX}a> <{EX}p> "\\U0001F600 \\" \\\\ \\b\\f\\r\\n\\\'" .'
         objs = [o for _, _, o in parse_ntriples(text)]
         assert objs == [Literal("tab\thereé"), Literal("\U0001F600 \" \\ \b\f\r\n'")]
+
+    @pytest.mark.parametrize("as_bytes", [False, True])
+    @pytest.mark.parametrize("char", RAW_BREAKS)
+    def test_only_line_feed_ends_a_line(self, char, as_bytes):
+        text = f'<{EX}a> <{EX}p> "x{char}y" .\r\n<{EX}a> <{EX}q> <{EX}b> .\n'
+        source = text.encode("utf-8") if as_bytes else text
+        assert [o for _, _, o in parse_ntriples(source)] == [Literal(f"x{char}y"), iri("b")]
 
     @pytest.mark.parametrize("escape", ["\\uD800", "\\U00110000", "\\q", "\\u00e"])
     def test_bad_escape_rejected(self, escape):

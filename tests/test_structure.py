@@ -306,7 +306,7 @@ class TestClassify:
             assert check_property_one(gosn, got)
 
     def test_properties_on_random_queries(self):
-        from bitopt.workload import GenConfig, random_query
+        from workload import GenConfig, random_query
 
         cfg = GenConfig(p_optional=0.8, p_nested_optional=0.4, p_peer_join=0.3)
         for seed in range(60):

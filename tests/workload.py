@@ -15,13 +15,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .algebra import (
+from bitopt.algebra import (
     And,
     Bgp,
     Comparison,
     Filter,
     Join,
     LeftJoin,
+    Or,
     PatternNode,
     Query,
     TriplePattern,
@@ -31,7 +32,7 @@ from .algebra import (
     check_well_designed,
     node_vars,
 )
-from .terms import Iri, Literal
+from bitopt.terms import Iri, Literal
 
 BASE = "http://example.org/"
 
@@ -261,7 +262,5 @@ def _random_filter(b: _Builder, scope: list[Variable]):
     if len(conjuncts) == 1:
         return conjuncts[0]
     if rng.random() < 0.3:
-        from .algebra import Or
-
         return Or(tuple(conjuncts))
     return And(tuple(conjuncts))
