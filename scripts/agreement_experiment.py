@@ -17,10 +17,12 @@ query ran any join but its one covering-subgraph join or a naive-path query
 ran other than one join per disjunct. Finally saves each random store,
 reopens it (so every matrix is decoded on its predicate's first use),
 compares the engine on the reopened store with the brute-force evaluator on
-the store as built, and counts the row reads (constant subject) and column
-reads (constant object) the reopened stores served and the terms their
-dictionaries built from ``dict.tsv`` lines (only the ids a query emits or
-filters on need one); it fails if ``open`` itself built any term.
+the store as built, and counts the reads the reopened stores served: row
+reads (constant subject), column reads (constant object), masked S-O and
+O-S reads (a two-variable pattern loaded with its neighbours' mask), the
+whole matrices decoded, and the terms their dictionaries built from
+``dict.tsv`` lines (only the ids a query emits or filters on need one); it
+fails if ``open`` itself built any term.
 
 Usage: python scripts/agreement_experiment.py [n_queries] [seed]
 """
@@ -83,7 +85,7 @@ def engine_run(
         seed += 1
         store = TripleStore.from_ntriples(random_store_text(rng, cfg))
         query = random_query(rng, cfg)
-        with counting_terms() as built:
+        with counting_terms() as built, counting_reads() as reads:
             engine_store = store if workdir is None else reopened(store, workdir)
             built_at_open = built[0]
             try:
@@ -99,9 +101,7 @@ def engine_run(
             if built_at_open:
                 stats["OPEN-BUILT-TERMS"] += 1
                 print(f"open built {built_at_open} terms at seed {seed - 1}")
-            for kind, _ in engine_store._cache:
-                if kind in ("SO_ROW", "SO_COL"):
-                    stats[f"{kind} reads"] += 1
+            stats.update(reads)
         for trace in result.disjuncts:
             stats["nb-required" if trace.nulreqd else "nb-skipped"] += 1
         if result.rule3_used:
@@ -131,6 +131,35 @@ def counting_terms():
         yield calls
     finally:
         bitopt.store._parse_rendered_term = parse
+
+
+@contextmanager
+def counting_reads():
+    """Count the store's reads by kind in the yielded Counter: row and
+    column reads, masked S-O and O-S reads, and whole matrices decoded."""
+    reads = Counter()
+    names = {
+        "SO_ROW": "row reads",
+        "SO_COL": "column reads",
+        "SO_MASKED": "masked SO reads",
+        "OS_MASKED": "masked OS reads",
+    }
+    bitmat, decode = TripleStore.bitmat, bitopt.store._MatrixWords.decode
+
+    def counted_bitmat(store, kind, key, keep=None):
+        if kind in names:
+            reads[names[kind]] += 1
+        return bitmat(store, kind, key, keep)
+
+    def counted_decode(words):
+        reads["whole decodes"] += 1
+        return decode(words)
+
+    TripleStore.bitmat, bitopt.store._MatrixWords.decode = counted_bitmat, counted_decode
+    try:
+        yield reads
+    finally:
+        TripleStore.bitmat, bitopt.store._MatrixWords.decode = bitmat, decode
 
 
 @contextmanager
@@ -208,7 +237,9 @@ def main():
     started = time.perf_counter()
     with tempfile.TemporaryDirectory() as workdir:
         rstats = engine_run(total, base_seed, workdir=workdir)
-    rstats.setdefault("OPEN-BUILT-TERMS", 0)
+    reads = ("row reads", "column reads", "masked SO reads", "masked OS reads", "whole decodes")
+    for key in ("OPEN-BUILT-TERMS", *reads):
+        rstats.setdefault(key, 0)
     report("reopened store", rstats, time.perf_counter() - started)
     ran = max(rstats["ran"], 1)
     print(

@@ -64,13 +64,22 @@ def row_positions(row: CompressedRow) -> Iterator[int]:
 
 
 def row_test(row: CompressedRow, pos: int) -> bool:
-    """Whether bit ``pos`` is set, without decoding the row."""
+    """Whether bit ``pos`` is set, without decoding the row. A position
+    outside 1..width is never set."""
     if row.tag == "pos":
         at = bisect_left(row.payload, pos)
         return at < len(row.payload) and row.payload[at] == pos
+    return runs_test(row.start_bit, row.payload, pos)
+
+
+def runs_test(start_bit: int, runs: Sequence[int], pos: int) -> bool:
+    """Whether bit ``pos`` is set in the run lengths ``runs`` whose first
+    run holds ``start_bit``. A position outside 1..width is never set."""
+    if pos < 1:
+        return False
     end = 0
-    bit = row.start_bit
-    for length in row.payload:
+    bit = start_bit
+    for length in runs:
         end += length
         if pos <= end:
             return bool(bit)

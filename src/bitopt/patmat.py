@@ -1,16 +1,19 @@
 """Per-query working matrices, one per triple pattern.
 
 A working matrix wraps a (copy of a) stored BitMat with its dimensions
-mapped to the pattern's variables: a two-variable pattern is a full S-O or
-O-S slice, patterns with one constant collapse to a single indexed row, and
-a ground pattern is a 1x1 presence bit. The shared store is never mutated;
-semi-joins and load-time masks operate on these copies only.
+mapped to the pattern's variables: a two-variable pattern is an S-O or O-S
+slice, patterns with one constant collapse to a single indexed row (a row
+or a column read of the S-O matrix), and a ground pattern is a 1x1
+presence bit, one test of one row. A two-variable pattern loaded with a
+mask on its row variable reads only the rows the mask keeps. The shared
+store is never mutated; semi-joins and load-time masks operate on these
+copies only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from . import bitmat
 from .algebra import Comparison, TriplePattern, Variable, eval_filter
@@ -92,13 +95,17 @@ def select_pattern_matrix(
     store: TripleStore,
     tp: TriplePattern,
     first_join_var: "Variable | None" = None,
+    keep: "Callable[[Variable], BitArray | None] | None" = None,
 ) -> PatternMatrix:
     """Load the working matrix for a pattern.
 
     Every pattern reads the S-O matrix of its predicate only. A fixed
     subject loads that subject's row, a fixed object that object's column
-    (as a one-row matrix); two variables load the S-O or O-S slice, oriented
-    so the variable that joins first sits on the row dimension.
+    (as a one-row matrix), and a ground pattern tests one bit of a row. Two
+    variables load the S-O or O-S slice, oriented so the variable that
+    joins first sits on the row dimension. ``keep`` gives, for a variable,
+    the mask of the values it may take, or None; a two-variable pattern
+    then reads only the rows its row variable may take.
     """
     d = store.dictionary
     if isinstance(tp.p, Variable):
@@ -115,19 +122,16 @@ def select_pattern_matrix(
         return PatternMatrix(tp, row_var, col_var, bm)
 
     if s_var and o_var:
+        kind = "SO" if first_join_var is None or first_join_var == tp.s or tp.s == tp.o else "OS"
+        row_var, col_var = (tp.s, tp.o) if kind == "SO" else (tp.o, tp.s)
+        pm = PatternMatrix(tp, row_var, col_var, _so_slice(store, pid, kind, keep and keep(row_var)))
         if tp.s == tp.o:
             # Repeated variable: diagonal of the S-O slice, shared ids only.
-            pm = PatternMatrix(tp, tp.s, tp.o, _so_slice(store, pid, "SO"))
             diag = BitArray(bitmat.S, d.n_s, (1 << d.n_so) - 1)
             pm.unfold_var(tp.s, diag, d.n_so)
             for r in list(pm.bm.rows):
                 pm.bm.mask_row(r, 1 << (r - 1))
-            return pm
-        kind = "SO" if first_join_var is None or first_join_var == tp.s else "OS"
-        bm = _so_slice(store, pid, kind)
-        if kind == "SO":
-            return PatternMatrix(tp, tp.s, tp.o, bm)
-        return PatternMatrix(tp, tp.o, tp.s, bm)
+        return pm
     if s_var:
         # (?v :p :o) -> column :o of S-O(:p)
         oid = d.object_id(tp.o)
@@ -140,21 +144,23 @@ def select_pattern_matrix(
         if pid is None or sid is None:
             return empty(None, tp.o, d.n_o, bitmat.O)
         return PatternMatrix(tp, None, tp.o, store.bitmat("SO_ROW", (pid, sid)).copy())
-    # Ground pattern: presence bit.
+    # Ground pattern: presence bit, one test of row :s.
     sid = d.subject_id(tp.s)
     oid = d.object_id(tp.o)
-    present = None not in (pid, sid, oid) and store.bitmat("SO", pid).test(sid, oid)
+    present = None not in (pid, sid, oid) and store.bitmat("SO_ROW", (pid, sid)).test(1, oid)
     bm = bitmat_from_cells("ROW", 0, bitmat.UNIT, bitmat.UNIT, 1, 1, [(1, 1)] if present else [])
     return PatternMatrix(tp, None, None, bm)
 
 
-def _so_slice(store: TripleStore, pid: "int | None", kind: str) -> BitMat:
+def _so_slice(store: TripleStore, pid: "int | None", kind: str, keep: "BitArray | None") -> BitMat:
     d = store.dictionary
     if pid is None:
         spaces = (bitmat.S, bitmat.O) if kind == "SO" else (bitmat.O, bitmat.S)
         dims = (d.n_s, d.n_o) if kind == "SO" else (d.n_o, d.n_s)
         return BitMat(kind, 0, spaces[0], spaces[1], max(dims[0], 1), max(dims[1], 1))
-    return store.bitmat(kind, pid).copy()
+    if keep is None:
+        return store.bitmat(kind, pid).copy()
+    return store.bitmat(kind + "_MASKED", pid, keep).copy()
 
 
 def apply_loadtime_conjunct(pm: PatternMatrix, conjunct: Comparison, var: Variable, dictionary: Dictionary) -> None:

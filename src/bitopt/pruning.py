@@ -151,10 +151,23 @@ def load_matrices(
     }
     matrices: dict[int, PatternMatrix] = {}
     applied: set[int] = set()
+    so_count = store.dictionary.n_so
     for tp in patterns:
-        first_join = _first_join_var(tp, got)
-        pm = select_pattern_matrix(store, tp, first_join)
-        pm.sid = gosn.sn_of_pattern[tp.index]
+        my_sid = gosn.sn_of_pattern[tp.index]
+        # Already-loaded masters and peers, whose bindings prune this pattern.
+        sources = []
+        for other, label in got.incident(tp.index) if prune else ():
+            other_sid = gosn.sn_of_pattern[other]
+            if other in matrices and (
+                other_sid == my_sid
+                or other_sid in gosn.masters.get(my_sid, frozenset())
+                or (other_sid, my_sid) in gosn.uni_edges
+            ):
+                sources.append((matrices[other], label))
+        pm = select_pattern_matrix(
+            store, tp, _first_join_var(tp, got), lambda var: _bound_values(sources, var, so_count)
+        )
+        pm.sid = my_sid
         if prune:
             for sc in scoped_conjuncts:
                 if not is_loadtime(sc.conjunct):
@@ -163,22 +176,27 @@ def load_matrices(
                 if var in tp.vars() and tp.index in scope_patterns[id(sc)]:
                     apply_loadtime_conjunct(pm, sc.conjunct, var, store.dictionary)
                     applied.add(id(sc.conjunct))
-            my_sid = pm.sid
-            for other, label in got.incident(tp.index):
-                if other not in matrices:
-                    continue
-                other_sid = gosn.sn_of_pattern[other]
-                is_peer = other_sid == my_sid
-                is_master = other_sid in gosn.masters.get(my_sid, frozenset()) or (
-                    other_sid,
-                    my_sid,
-                ) in gosn.uni_edges
-                if is_peer or is_master:
-                    foldable = [v for v in label if v in pm.vars() and v in matrices[other].vars()]
-                    if foldable:
-                        semi_join(pm, matrices[other], frozenset(foldable), store.dictionary)
+            for other, label in sources:
+                foldable = [v for v in label if v in pm.vars() and v in other.vars()]
+                # A matrix with a row variable was read with only the rows
+                # every source allows it, so that variable alone prunes no more.
+                if foldable and foldable != [pm.row_var]:
+                    semi_join(pm, other, frozenset(foldable), store.dictionary)
         matrices[tp.index] = pm
     return matrices, applied
+
+
+def _bound_values(
+    sources: list[tuple[PatternMatrix, frozenset[Variable]]], var: Variable, so_count: int
+) -> "BitArray | None":
+    """The values ``var`` takes in every source that shares it, or None when
+    no source does."""
+    mask = None
+    for other, label in sources:
+        if var in label and var in other.vars():
+            fold = other.fold_var(var)
+            mask = fold if mask is None else intersect_arrays(mask, fold, so_count)
+    return mask
 
 
 def _scope_patterns(sc: ScopedConjunct):

@@ -7,11 +7,16 @@ at n_so+1..n_o, predicates live in their own 1..n_p space. The conceptual
 subject x predicate x object bit cube is never materialized.
 
 The S-O matrix of each predicate is the only copy of the triples, in memory
-and on disk. Everything else is derived from one of those matrices on first
-use and cached: an O-S slice is the transpose of one S-O matrix, the row
-read of a pattern with a constant subject, ``(:s :p ?o)``, shares row s of
-S-O(p), and the column read of a pattern with a constant object,
-``(?s :p :o)``, tests bit o in every stored row of S-O(p).
+and on disk. In memory it is the words of its file, read on the predicate's
+first use, with a row-offset table built then and never stored; a read
+decodes only the rows it returns. The row read of a pattern with a constant
+subject, ``(:s :p ?o)``, decodes row s; the column read of a pattern with a
+constant object, ``(?s :p :o)``, searches the file's bytes for o's word. A
+masked read of a two-variable pattern returns only the rows its mask keeps:
+S-O rows decoded one by one, or O-S rows built as column reads. A whole
+matrix, and its O-S transpose, is decoded and cached only for an unmasked
+read, or for a masked O-S read whose columns would cost more to read one
+by one.
 
 A saved store is a directory holding ``dict.tsv``, one ``bm_so_<pid>.bin``
 per predicate and ``manifest.txt``: a format-version line, a ``dict.tsv``
@@ -22,8 +27,9 @@ checks every file's size and checksum against the manifest, the
 dictionary's line count and each matrix header against the counts, but
 builds no term and decodes no rows. The dictionary stays the bytes of
 ``dict.tsv``: it resolves only the terms a query names and the ids it
-emits, each checked when first read, and a predicate's matrix is decoded,
-fully checked, on its first use.
+emits, each checked when first read. A matrix file's structure and its
+header's triple count are checked on the predicate's first use, and a row's
+positions when a read first decodes that row.
 """
 
 from __future__ import annotations
@@ -32,13 +38,25 @@ import os
 import re
 import shutil
 import struct
+import sys
 import tempfile
 import zlib
-from bisect import bisect_left
-from typing import Iterable, Iterator
+from array import array
+from bisect import bisect_left, bisect_right
+from operator import lt
+from typing import Iterable
 
 from . import bitmat
-from .bitmat import BitMat, CompressedRow, bitmat_from_cells, row_from_mask, row_from_positions, row_test
+from .bitmat import (
+    BitArray,
+    BitMat,
+    CompressedRow,
+    align_mask,
+    bitmat_from_cells,
+    row_from_mask,
+    row_from_positions,
+    runs_test,
+)
 from .ntriples import parse_ntriples
 from .terms import Iri, Literal, Term, term_sort_key, unescape
 
@@ -231,14 +249,19 @@ class Dictionary:
 SO_KIND_CODE = 0  # kind word of a stored matrix; only S-O matrices are stored
 MANIFEST_VERSION = "bitopt-store-format 3"  # first line of manifest.txt
 _STORE_FILE = re.compile(r"dict\.tsv|manifest\.txt|bm_so_\d+\.bin")
+# A column read searches each position row instead of the file's bytes when
+# the bytes hold more than this many hits per stored row. On LUBM at 36.7k
+# triples a hit costs 1.0-1.5 us and a searched row 0.55-0.8 us.
+_HITS_PER_ROW = 0.5
 
 
 class TripleStore:
     """Immutable-after-load triple store; any number of concurrent readers.
 
-    The S-O matrices, cached under ``("SO", predicate id)``, are the only
-    copy of the triples; every other slice is derived from them on demand.
-    A store read by ``open`` decodes each S-O matrix on its first use.
+    The S-O matrix of each predicate is held as the words of its file, the
+    only copy of the triples. Row, column and masked reads decode only what
+    they return; a whole matrix, and its transpose, is decoded on its first
+    unmasked read and cached under ``("SO", pid)`` or ``("OS", pid)``.
     """
 
     def __init__(self, dictionary: Dictionary):
@@ -246,6 +269,8 @@ class TripleStore:
         self._cache: dict[tuple[str, object], BitMat] = {}
         # Predicate id -> (path, byte size, CRC-32) of its matrix file.
         self._files: dict[int, tuple[str, int, int]] = {}
+        # Predicate id -> its matrix words, read on the predicate's first use.
+        self._words: dict[int, _MatrixWords] = {}
 
     @classmethod
     def from_ntriples(cls, source) -> "TripleStore":
@@ -258,80 +283,97 @@ class TripleStore:
         del term_triples
         store = cls(d)
         for pid in range(1, d.n_p + 1):
-            store._cache["SO", pid] = bitmat_from_cells(
-                "SO", pid, bitmat.S, bitmat.O, d.n_s, d.n_o, cells.pop(pid)
-            )
+            bm = bitmat_from_cells("SO", pid, bitmat.S, bitmat.O, d.n_s, d.n_o, cells.pop(pid))
+            store._words[pid] = _MatrixWords(f"bm_so_{pid}.bin", _encode_bitmat(bm), d)
         return store
 
-    def _so_matrices(self) -> Iterator[tuple[int, BitMat]]:
-        for pid in range(1, self.dictionary.n_p + 1):
-            yield pid, self.bitmat("SO", pid)
+    def _matrix(self, pid: int) -> "_MatrixWords":
+        words = self._words.get(pid)
+        if words is None:
+            if pid not in self._files:
+                raise StoreError(f"no S-O matrix for predicate {pid}")
+            words = self._words[pid] = _read_words(self._files[pid], self.dictionary)
+        return words
 
     @property
     def triple_count(self) -> int:
-        return sum(bm.triple_count for _, bm in self._so_matrices())
+        return sum(self._matrix(pid).count for pid in range(1, self.dictionary.n_p + 1))
 
     def term_triples(self) -> list[tuple[Term, Term, Term]]:
         d = self.dictionary
         out = [
             (d.subject_term(s), d.predicate_term(pid), d.object_term(o))
-            for pid, bm in self._so_matrices()
-            for s, o in bm.cells()
+            for pid in range(1, d.n_p + 1)
+            for s, o in self.bitmat("SO", pid).cells()
         ]
         out.sort(key=lambda t: tuple(term_sort_key(x) for x in t))
         return out
 
-    # -- index families -------------------------------------------------------
+    # -- reads -------------------------------------------------------------------
 
-    def bitmat(self, kind: str, slice_key: "int | tuple[int, int]") -> BitMat:
-        """Fetch (decoding it on first use) a stored S-O matrix, or derive
-        and cache a slice of one:
+    def bitmat(self, kind: str, slice_key: "int | tuple[int, int]", keep: "BitArray | None" = None) -> BitMat:
+        """Read a stored S-O matrix, or a part of one:
 
-        * ``("SO", pid)`` and ``("OS", pid)``: S-O(pid) and its transpose;
+        * ``("SO", pid)`` and ``("OS", pid)``: S-O(pid) and its transpose,
+          decoded whole and cached;
+        * ``("SO_MASKED", pid)`` and ``("OS_MASKED", pid)`` with ``keep``, a
+          mask over the rows to return (subjects for S-O, objects for O-S):
+          a new S-O or O-S matrix of only those rows, never cached as a
+          whole. S-O rows are decoded one by one. O-S rows are read as
+          columns of S-O(pid), unless the whole O-S matrix is cached or the
+          columns not yet read cost more than building it (see
+          ``_MatrixWords.column_budget``): then they are picked from the
+          whole O-S matrix, which is built and cached if need be;
         * ``("SO_ROW", (pid, sid))``: row sid of S-O(pid), a 1 x n_o matrix;
         * ``("SO_COL", (pid, oid))``: column oid of S-O(pid), as a 1 x n_s
           matrix.
 
         Callers must copy before mutating."""
+        if kind in ("SO_MASKED", "OS_MASKED"):
+            return self._masked(kind[:2], slice_key, keep)
         key = (kind, slice_key)
         cached = self._cache.get(key)
         if cached is not None:
             return cached
         d = self.dictionary
         if kind == "SO":
-            entry = self._files.get(slice_key)
-            if entry is None:
-                raise StoreError(f"no S-O matrix for predicate {slice_key}")
-            bm = _read_bitmat(entry, d)
+            bm = self._matrix(slice_key).decode()
         elif kind == "OS":
             bm = bitmat.transpose(self.bitmat("SO", slice_key))
-        elif kind == "SO_ROW":
-            pid, sid = slice_key
-            row = self.bitmat("SO", pid).rows.get(sid)
-            bm = BitMat("ROW", sid, bitmat.UNIT, bitmat.O, 1, d.n_o)
+        elif kind in ("SO_ROW", "SO_COL"):
+            pid, idx = slice_key
+            words = self._matrix(pid)
+            if kind == "SO_ROW":
+                row, space, width = words.row_of(idx), bitmat.O, d.n_o
+            else:
+                row, space, width = words.column(idx), bitmat.S, d.n_s
+            bm = BitMat("ROW", idx, bitmat.UNIT, space, 1, width)
             if row is not None:
                 bm.rows[1] = row  # shared as is: rows are immutable
                 bm.refresh_meta()
-        elif kind == "SO_COL":
-            # Position rows (nearly all of them) are tested inline: this
-            # loop visits every stored row of the matrix.
-            pid, oid = slice_key
-            hits = []
-            for s, row in self.bitmat("SO", pid).rows.items():
-                if row.tag == "pos":
-                    pos = row.payload
-                    if pos[0] <= oid <= pos[-1] and pos[bisect_left(pos, oid)] == oid:
-                        hits.append(s)
-                elif row_test(row, oid):
-                    hits.append(s)
-            bm = BitMat("ROW", oid, bitmat.UNIT, bitmat.S, 1, d.n_s)
-            if hits:
-                hits.sort()
-                bm.rows[1] = row_from_positions(hits, d.n_s)
-                bm.triple_count = len(hits)
         else:
             raise StoreError(f"unknown BitMat kind {kind!r}")
         self._cache[key] = bm
+        return bm
+
+    def _masked(self, kind: str, pid: int, keep: BitArray) -> BitMat:
+        d = self.dictionary
+        words = self._matrix(pid)
+        if kind == "SO":
+            bm = BitMat("SO", pid, bitmat.S, bitmat.O, d.n_s, d.n_o)
+            bm.rows = words.rows_in(BitArray(bitmat.S, d.n_s, align_mask(keep, bitmat.S, d.n_s, d.n_so)))
+        else:
+            bm = BitMat("OS", pid, bitmat.O, bitmat.S, d.n_o, d.n_s)
+            mask = BitArray(bitmat.O, d.n_o, align_mask(keep, bitmat.O, d.n_o, d.n_so))
+            whole = self._cache.get(("OS", pid))
+            if whole is None and not words.columns_cheaper(mask):
+                whole = self.bitmat("OS", pid)
+            if whole is None:
+                bm.rows = words.columns_in(mask)
+            else:
+                bits = mask.mask
+                bm.rows = {oid: row for oid, row in whole.rows.items() if bits >> (oid - 1) & 1}
+        bm.refresh_meta()
         return bm
 
     # -- persistence -----------------------------------------------------------
@@ -360,9 +402,9 @@ class TripleStore:
                 MANIFEST_VERSION,
                 f"dict.tsv {len(d.data)} {zlib.crc32(d.data)} {d.n_s} {d.n_o} {d.n_so} {d.n_p}",
             ]
-            for pid, bm in self._so_matrices():
+            for pid in range(1, d.n_p + 1):
                 name = f"bm_so_{pid}.bin"
-                data = _encode_bitmat(bm)
+                data = self._matrix(pid).data
                 with open(os.path.join(staged, name), "wb") as fh:
                     fh.write(data)
                 names.append(name)
@@ -387,8 +429,10 @@ class TripleStore:
         the dictionary or decoding a matrix. A malformed manifest, dimension
         counts that the dictionary's line count or a matrix header
         contradicts, or a file whose size or checksum differs from the
-        manifest's, raises StoreError here; a dictionary line or a matrix row
-        that does not fit raises it when a query first reads it."""
+        manifest's, raises StoreError here. A dictionary line or a matrix row
+        that does not fit raises it when a query first reads it, a matrix
+        file's structure or triple count when a query first reads its
+        predicate."""
         dict_path = os.path.join(directory, "dict.tsv")
         manifest_path = os.path.join(directory, "manifest.txt")
         if not os.path.isfile(dict_path):
@@ -498,20 +542,6 @@ def _read_checked(path: str, size: int, crc: int) -> bytes:
     return data
 
 
-def _read_bitmat(entry: tuple[str, int, int], d: Dictionary) -> BitMat:
-    """Read one S-O matrix file, check it against the manifest again (it
-    may have changed since ``open``), decode it and check it against the
-    dictionary."""
-    path = entry[0]
-    data = _read_checked(*entry)
-    try:
-        return _decode_bitmat(data, d)
-    except StoreError as exc:
-        raise StoreError(f"{path}: corrupt S-O matrix ({exc})") from None
-    except IndexError:  # a count word points past the end
-        raise StoreError(f"{path}: truncated S-O matrix") from None
-
-
 def _check_header(data: bytes, d: Dictionary) -> int:
     """Check a matrix file's header words against the dictionary; returns
     the predicate id."""
@@ -527,43 +557,225 @@ def _check_header(data: bytes, d: Dictionary) -> int:
     return slice_key
 
 
-def _decode_bitmat(data: bytes, d: Dictionary) -> BitMat:
-    slice_key = _check_header(data, d)
-    words = struct.unpack(f"<{len(data) // 4}I", data)
-    n_rows, n_cols, count = words[2:5]
-    at = 5
-    for _ in range(2):  # non-empty row and column masks; recomputable
-        at += 2 + words[at + 1]
-    n_stored = words[at]
-    at += 1
-    bm = BitMat("SO", slice_key, bitmat.S, bitmat.O, n_rows, n_cols)
-    for _ in range(n_stored):
-        # One row: index, tag (0/1 run-length start bit, 2 positions),
-        # payload length, payload. Decoded inline: this loop is most of a
-        # predicate's first use.
-        idx, tag, length = words[at], words[at + 1], words[at + 2]
-        at += 3
-        payload = words[at : at + length]
-        at += length
+def _read_words(entry: tuple[str, int, int], d: Dictionary) -> "_MatrixWords":
+    """Read one S-O matrix file, check it against the manifest again (it
+    may have changed since ``open``) and build its row-offset table."""
+    return _MatrixWords(entry[0], _read_checked(*entry), d)
+
+
+class _MatrixWords:
+    """One S-O matrix file as its words, and a row-offset table that is
+    built when the predicate is first used and never stored.
+
+    A file holds the header words (kind code, predicate id, n_rows, n_cols,
+    triple count), the non-empty row and column masks as two encoded rows,
+    the number of stored rows, then each stored row in ascending order: its
+    index, its tag (0/1: run-length row with that start bit, 2: position
+    row), its payload length and its payload. Building the table checks the
+    header against the dictionary and the file's structure: ascending row
+    indexes inside 1..n_rows, non-empty rows, valid tags, run-length rows
+    whose runs cover the width, and no word after the last row. It also
+    counts the set bits, a position row by its payload length and a
+    run-length row by its set runs, and checks the header's triple count
+    against that total. A position row's positions are checked when a
+    read first decodes the row, so a bad row is reported only by a read
+    that returns it. Decoded rows and read columns are kept.
+    """
+
+    def __init__(self, path: str, data: bytes, d: Dictionary):
+        self.path = path
+        self.data = data  # the file's bytes, searched by column reads
+        try:
+            self.pid = _check_header(data, d)
+        except StoreError as exc:
+            raise self._corrupt(str(exc)) from None
+        if sys.byteorder == "little":
+            words = memoryview(data).cast("I")
+        else:
+            words = array("I", data)
+            words.byteswap()
+        self.words = words
+        self.n_rows, self.n_cols, self.count = n_rows, n_cols, count = words[2:5]
+        self._rows: dict[int, CompressedRow] = {}  # row index -> row, once decoded
+        self._cols: dict[int, "CompressedRow | None"] = {}  # column -> its rows, once read
+        self.offsets: list[int] = []  # word offset of each stored row's tag word
+        self.rle: list[int] = []  # places in ``offsets`` of the run-length rows
+        offsets, rle = self.offsets, self.rle
+        at = 5
+        try:
+            at += 2 + words[at + 1]  # the non-empty row mask; recomputable
+            tag, length = words[at], words[at + 1]  # the non-empty column mask
+            cols_set = length if tag == 2 else sum(words[at + 3 - tag : at + 2 + length : 2])
+            at += 2 + length
+            n_stored = words[at]
+            at += 1
+            # A stored row: index, tag, payload length, payload. This loop is
+            # most of a predicate's first use, so it only steps from row to
+            # row; the header words are checked below.
+            for place in range(n_stored):
+                offsets.append(at + 1)
+                if words[at + 1] != 2:
+                    rle.append(place)
+                at += 3 + words[at + 2]
+        except IndexError:  # a count word points past the end
+            raise StoreError(f"{path}: truncated S-O matrix") from None
+        if at > len(words):
+            raise StoreError(f"{path}: truncated S-O matrix")
+        if at < len(words):
+            raise self._corrupt(f"{len(words) - at} words after the last row")
+        ids = self.ids = [words[o - 1] for o in offsets]  # stored row indexes, ascending
+        lengths = [words[o + 1] for o in offsets]
+        if ids and not (0 < ids[0] and ids[-1] <= n_rows and all(map(lt, ids, ids[1:])) and min(lengths)):
+            raise self._corrupt(f"row indexes or lengths do not fit {n_rows}x{n_cols}")
+        total = sum(lengths)  # a position row's bits; run-length rows corrected below
+        for place in rle:
+            at = offsets[place]
+            tag, runs = words[at], words[at + 2 : at + 2 + lengths[place]]
+            if tag > 1 or sum(runs) != n_cols:
+                raise self._corrupt(f"row {ids[place]} does not fit {n_rows}x{n_cols}")
+            total += sum(runs[1 - tag :: 2]) - len(runs)
+        if total != count:
+            raise self._corrupt(f"header count {count} != stored bits {total}")
+        # How many columns a masked O-S read reads one by one before a whole
+        # decode and transpose costs less. The costs, in microseconds, were
+        # fitted on the predicates of LUBM at 36.7k triples (README,
+        # "Storage"): a column read costs 30, plus 0.008 per word for the
+        # two searches of the bytes, 2.5 per expected hit and 1.5 per
+        # run-length row tested; a whole decode and transpose costs 0.65 per
+        # word and 1.75 per non-empty column.
+        column_us = 30 + 0.008 * len(words) + 2.5 * count / max(cols_set, 1) + 1.5 * len(rle)
+        self.column_budget = (0.65 * len(words) + 1.75 * cols_set) / column_us
+
+    def _corrupt(self, why: str) -> StoreError:
+        return StoreError(f"{self.path}: corrupt S-O matrix ({why})")
+
+    def row(self, place: int) -> CompressedRow:
+        """The stored row at ``place`` in ``ids``, decoded and checked once."""
+        row = self._rows.get(self.ids[place])
+        if row is not None:
+            return row
+        words = self.words
+        at = self.offsets[place]
+        tag, length = words[at], words[at + 1]
+        payload = tuple(words[at + 2 : at + 2 + length])
         if tag == 2:
+            prev = 0  # the positions must increase from 1 to at most n_cols
+            for pos in payload:
+                if pos <= prev:
+                    prev = self.n_cols + 1
+                    break
+                prev = pos
+            if prev > self.n_cols:
+                raise self._corrupt(f"row {self.ids[place]} does not fit {self.n_rows}x{self.n_cols}")
             row = CompressedRow("pos", 0, payload)
-            fits = length > 0 and 1 <= payload[0] and payload[-1] <= n_cols
-            if length > 1:  # the ends bound the rest only if positions increase
-                prev = 0
-                for pos in payload:
-                    if pos <= prev:
-                        fits = False
-                        break
-                    prev = pos
         else:
             row = CompressedRow("rle", tag, payload)
-            fits = tag < 2 and sum(payload) == n_cols
-        if not (fits and len(payload) == length and 1 <= idx <= n_rows):
-            raise StoreError(f"row {idx} does not fit {n_rows}x{n_cols}")
-        bm.rows[idx] = row
-    if at != len(words):
-        raise StoreError(f"{len(words) - at} words after the last row")
-    bm.refresh_meta()
-    if bm.triple_count != count:
-        raise StoreError(f"header count {count} != stored bits {bm.triple_count}")
-    return bm
+        self._rows[self.ids[place]] = row
+        return row
+
+    def row_of(self, idx: int) -> "CompressedRow | None":
+        """Row ``idx``, or None when it is empty or outside 1..n_rows."""
+        row = self._rows.get(idx)
+        if row is None:
+            place = bisect_left(self.ids, idx)
+            if place < len(self.ids) and self.ids[place] == idx:
+                row = self.row(place)
+        return row
+
+    def rows_in(self, mask: BitArray) -> dict[int, CompressedRow]:
+        """The stored rows whose bit is set in ``mask``, by index.
+
+        Walks the mask's bits or the stored rows, whichever are fewer. On the
+        ``distinct`` workload's warm store, masks keep 1,632-1,920 of 2,907
+        subjects over 684-2,112 stored rows: walking the stored rows takes
+        0.13-0.37 ms there against 0.71-0.84 ms for the mask's bits."""
+        if mask.count() < len(self.ids):
+            return {idx: row for idx in mask.positions() if (row := self.row_of(idx)) is not None}
+        keep, rows = mask.mask, self._rows
+        return {idx: rows.get(idx) or self.row(place) for place, idx in enumerate(self.ids) if keep >> (idx - 1) & 1}
+
+    def column(self, col: int) -> "CompressedRow | None":
+        """Column ``col`` as a row over the row indexes, read once; None when
+        it is empty or outside 1..n_cols. Every row found is decoded, so its
+        positions are checked."""
+        try:
+            return self._cols[col]
+        except KeyError:
+            pass
+        places = sorted(self._column_places(col)) if self.ids and 1 <= col <= self.n_cols else []
+        for place in places:
+            self.row(place)
+        row = self._cols[col] = row_from_positions([self.ids[p] for p in places], self.n_rows) if places else None
+        return row
+
+    def columns_cheaper(self, mask: BitArray) -> bool:
+        """Whether reading the columns set in ``mask`` that have not been
+        read costs less than a whole decode and transpose."""
+        budget = self.column_budget
+        if mask.count() <= budget:
+            return True
+        cols, unread = self._cols, 0
+        for col in mask.positions():
+            if col not in cols:
+                unread += 1
+                if unread > budget:
+                    return False
+        return True
+
+    def columns_in(self, mask: BitArray) -> dict[int, CompressedRow]:
+        """The non-empty columns whose bit is set in ``mask``, by index."""
+        return {col: row for col in mask.positions() if (row := self.column(col)) is not None}
+
+    def _column_places(self, col: int) -> list[int]:
+        """The places in ``ids`` of the rows that hold bit ``col``.
+
+        Position rows are found by searching the file's bytes for the
+        column's word: a hit on a word boundary inside a position row's
+        payload is that row's bit. Every row's tag word is a hit for column
+        2, and a short row's length word for a small column, so when the
+        bytes hold more hits than ``_HITS_PER_ROW`` per stored row, each
+        position row is searched instead, in the payload words that can
+        hold ``col`` (positions rise from 1, so at most the first ``col``).
+        Run-length rows are tested one by one."""
+        data, words, offsets = self.data, self.words, self.offsets
+        needle = struct.pack("<I", col)
+        start = 4 * (offsets[0] + 2)  # the first stored row's payload
+        if data.count(needle, start) > _HITS_PER_ROW * len(offsets):
+            places = [
+                place
+                for place, at in enumerate(offsets)
+                if words[at] == 2
+                and (hi := at + 2 + min(words[at + 1], col)) > (i := bisect_left(words, col, at + 2, hi))
+                and words[i] == col
+            ]
+        else:
+            places = []
+            at = data.find(needle, start)
+            while at >= 0:
+                resume = at + 1
+                if not at & 3:
+                    word = at >> 2
+                    place = bisect_right(offsets, word) - 1
+                    tag_at = offsets[place]
+                    end = tag_at + 2 + words[tag_at + 1]
+                    if word < end:  # in the row at ``place``, not the next one's index word
+                        if words[tag_at] != 2:
+                            resume = 4 * end
+                        elif word < tag_at + 2:
+                            resume = 4 * (tag_at + 2)
+                        else:
+                            places.append(place)
+                            resume = 4 * end
+                at = data.find(needle, resume)
+        for place in self.rle:
+            at = offsets[place]
+            if runs_test(words[at], words[at + 2 : at + 2 + words[at + 1]], col):
+                places.append(place)
+        return places
+
+    def decode(self) -> BitMat:
+        """The whole matrix, every row decoded and checked."""
+        bm = BitMat("SO", self.pid, bitmat.S, bitmat.O, self.n_rows, self.n_cols)
+        bm.rows = {idx: self.row(place) for place, idx in enumerate(self.ids)}
+        bm.triple_count = self.count
+        return bm

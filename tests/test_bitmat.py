@@ -21,6 +21,7 @@ from bitopt.bitmat import (
     row_from_positions,
     row_mask,
     row_positions,
+    row_test,
     transpose,
     unfold,
 )
@@ -140,6 +141,23 @@ def dense(bm):
     for r, c in bm.cells():
         out[r - 1, c - 1] = True
     return out
+
+
+class TestRowTest:
+    @pytest.mark.parametrize("bits", ["1" * 15 + "0" * 25, "0" * 39 + "1", "0100000001"], ids=str)
+    def test_matches_positions(self, bits):
+        row = encode(bits)
+        assert [p for p in range(1, len(bits) + 1) if row_test(row, p)] == list(row_positions(row))
+
+    @pytest.mark.parametrize("tag", ["rle", "pos"])
+    def test_position_outside_the_width_is_never_set(self, tag):
+        # Each row has its first and last bit set: a run-length row starting
+        # with a set run, and a position row holding 1 and the width.
+        row = row_from_mask(0x7FFF | 1 << 39, 40) if tag == "rle" else row_from_positions([1, 40], 40)
+        assert row.tag == tag
+        assert row_test(row, 1) and row_test(row, 40)
+        for pos in (0, -3, 41):
+            assert not row_test(row, pos)
 
 
 class TestFoldUnfold:

@@ -3,6 +3,7 @@ and explain output stability."""
 
 import struct
 import zlib
+from types import SimpleNamespace
 
 import pytest
 
@@ -54,16 +55,17 @@ class TestLoad:
         qpath = write_query(tmp_path, Q1_TEXT)
         assert main(["query", str(store_dir), qpath]) == EXIT_OK
         before = capsys.readouterr().out
-        encode = bitopt.store._encode_bitmat
-        encoded = []
+        # Fail while the new store is half written: after dict.tsv and the
+        # first matrix file, at the checksum of the first matrix file.
+        checksums = []
 
-        def failing(bm):
-            encoded.append(bm)
-            if len(encoded) == 2:
+        def failing(data):
+            checksums.append(data)
+            if len(checksums) == 2:
                 raise OSError("disk full")
-            return encode(bm)
+            return zlib.crc32(data)
 
-        monkeypatch.setattr(bitopt.store, "_encode_bitmat", failing)
+        monkeypatch.setattr(bitopt.store, "zlib", SimpleNamespace(crc32=failing))
         movies = tmp_path / "m.nt"
         movies.write_text(MOVIES_NT)
         assert main(["load", str(store_dir), str(movies), "--force"]) == EXIT_IO
@@ -460,6 +462,33 @@ class TestLazyDecodeErrors:
         assert main(["query", str(store_dir), qpath, "--oracle"]) == EXIT_IO
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+class TestHeaderCount:
+    """The header's triple count is checked against the rows' bits when a
+    query first reads the predicate, whatever part of it the query reads."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "SELECT ?f WHERE { :Jerry :hasFriend ?f }",  # a row read
+            "SELECT ?who WHERE { ?who :hasFriend :Julia }",  # a column read
+        ],
+        ids=["row", "column"],
+    )
+    def test_first_read_fails(self, tmp_path, store_dir, capsys, text):
+        path = store_dir / "bm_so_1.bin"  # :hasFriend, two triples
+        _set_word(path, 4, 3)
+        _reseal(store_dir, path.name)
+        TripleStore.open(str(store_dir))
+        capsys.readouterr()
+        assert main(["query", str(store_dir), write_query(tmp_path, text)]) == EXIT_IO
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "bm_so_1.bin" in err[0], err
+        assert "header count 3" in err[0] and captured.out == ""
+        qpath = write_query(tmp_path, "SELECT ?who WHERE { ?who :actedIn :Veep }", "other.rq")
+        assert main(["query", str(store_dir), qpath]) == EXIT_OK
 
 
 class TestManifestVersion:

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from bitopt import bitmat
+from bitopt.bitmat import BitArray
 from bitopt.algebra import TriplePattern, Variable
 from bitopt.ntriples import NTriplesError, parse_ntriples
 from bitopt.patmat import UnsupportedByIndexError, select_pattern_matrix
@@ -13,7 +14,7 @@ from bitopt.store import TripleStore
 from bitopt.terms import Iri, Literal, term_sort_key
 from workload import GenConfig, random_store_text
 
-from conftest import EX, SEINFELD_NT
+from conftest import EX, Q1_TEXT, SEINFELD_NT
 
 
 def iri(name: str) -> Iri:
@@ -288,22 +289,22 @@ class TestDerivedSlices:
 
 
 class TestLazyOpen:
-    """``open`` checks every file but decodes none; a predicate's matrix is
-    decoded on its first use, once."""
+    """``open`` checks every file but reads none into words; a predicate's
+    matrix words are read on its first use, once."""
 
     @pytest.fixture()
     def decoded(self, monkeypatch):
         import bitopt.store
 
         pids = []
-        original = bitopt.store._decode_bitmat
+        original = bitopt.store._read_words
 
-        def spy(data, d):
-            bm = original(data, d)
-            pids.append(bm.slice_key)
-            return bm
+        def spy(entry, d):
+            words = original(entry, d)
+            pids.append(words.pid)
+            return words
 
-        monkeypatch.setattr(bitopt.store, "_decode_bitmat", spy)
+        monkeypatch.setattr(bitopt.store, "_read_words", spy)
         return pids
 
     def test_open_decodes_nothing(self, tmp_path, decoded):
@@ -342,6 +343,118 @@ class TestLazyOpen:
         victim.unlink()
         with pytest.raises(StoreError, match="bm_so_2.bin"):
             store.bitmat("SO", 2)
+
+
+def _random_matrix_text(rng: random.Random) -> str:
+    """Two predicates over random cells. Row densities range from empty to
+    full, so both row encodings occur; the first columns of :p are subjects
+    too, so masks cross between the subject and object spaces."""
+    n_s, n_o = rng.randint(1, 25), rng.randint(1, 90)
+    shared = rng.randint(0, n_s)
+    obj = [f"s{j}" if j < shared else f"o{j}" for j in range(n_o)]
+    lines = []
+    for i in range(n_s):
+        for pred in ("p", "q"):
+            density = rng.choice([0.0, 0.03, 0.1, 0.5, 0.95, 1.0])
+            lines += [f"<{EX}s{i}> <{EX}{pred}> <{EX}{o}> .\n" for o in obj if rng.random() < density]
+    rng.shuffle(lines)
+    return "".join(lines)
+
+
+def _random_mask(rng: random.Random, width: int) -> int:
+    density = rng.choice([0.02, 0.1, 0.5, 1.0])
+    return sum(1 << i for i in range(width) if rng.random() < density)
+
+
+def _check_word_reads(store: TripleStore, whole: TripleStore, rng: random.Random) -> None:
+    """Row, column and masked reads of ``store`` equal the cells of the
+    whole matrices of ``whole``, a store built from the same data."""
+    d = store.dictionary
+    for pid in range(1, d.n_p + 1):
+        cells = set(whole.bitmat("SO", pid).cells())
+        # Fewest bits first, before any column is read: a masked O-S read
+        # reads columns while that costs less than the whole transpose,
+        # then builds and caches the transpose and picks from it.
+        dims = [(bitmat.S, d.n_s), (bitmat.O, d.n_o)] * 3
+        masks = [BitArray(space, width, _random_mask(rng, width)) for space, width in dims]
+        masks.append(BitArray(bitmat.O, d.n_o, (1 << d.n_o) - 1))
+        for mask in sorted(masks, key=BitArray.count):
+            subjects = bitmat.align_mask(mask, bitmat.S, d.n_s, d.n_so)
+            objects = bitmat.align_mask(mask, bitmat.O, d.n_o, d.n_so)
+            so = store.bitmat("SO_MASKED", pid, mask)
+            want = {(s, o) for s, o in cells if subjects >> (s - 1) & 1}
+            assert (so.kind, so.n_rows, so.n_cols, so.triple_count) == ("SO", d.n_s, d.n_o, len(want))
+            assert set(so.cells()) == want
+            os_ = store.bitmat("OS_MASKED", pid, mask)
+            want = {(o, s) for s, o in cells if objects >> (o - 1) & 1}
+            assert (os_.kind, os_.n_rows, os_.n_cols, os_.triple_count) == ("OS", d.n_o, d.n_s, len(want))
+            assert set(os_.cells()) == want
+            assert all(row.tag in ("pos", "rle") and row.payload for row in os_.rows.values())
+        for sid in range(1, d.n_s + 1):
+            row = store.bitmat("SO_ROW", (pid, sid))
+            assert set(row.cells()) == {(1, o) for s, o in cells if s == sid}
+        for oid in range(1, d.n_o + 1):
+            col = store.bitmat("SO_COL", (pid, oid))
+            assert set(col.cells()) == {(1, s) for s, o in cells if o == oid}
+            assert col.triple_count == sum(1 for _, o in cells if o == oid)
+
+
+class TestWordReads:
+    """Reads served from a matrix's words, fresh and after save/open: before
+    any whole matrix is decoded, and again once the whole matrices are
+    cached."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_reads_match_the_whole_matrix(self, seed, tmp_path):
+        rng = random.Random(seed)
+        text = _random_matrix_text(rng)
+        whole = TripleStore.from_ntriples(text)
+        fresh = TripleStore.from_ntriples(text)
+        fresh.save(str(tmp_path))
+        for store in (fresh, TripleStore.open(str(tmp_path))):
+            _check_word_reads(store, whole, random.Random(seed))
+            for pid in range(1, store.dictionary.n_p + 1):
+                store.bitmat("OS", pid)  # masked O-S reads now restrict the cached transpose
+            _check_word_reads(store, whole, random.Random(seed))
+
+    def test_corpus_has_both_row_encodings_and_shared_ids(self):
+        tags, shared = set(), 0
+        for seed in range(12):
+            store = TripleStore.from_ntriples(_random_matrix_text(random.Random(seed)))
+            shared += store.dictionary.n_so
+            for pid in range(1, store.dictionary.n_p + 1):
+                tags |= {row.tag for row in store.bitmat("SO", pid).rows.values()}
+        assert tags == {"pos", "rle"} and shared > 0
+
+    def test_anchored_query_decodes_no_whole_matrix(self, tmp_path, monkeypatch):
+        import bitopt.store
+        from bitopt.executor import run_query
+        from bitopt.parser import parse
+
+        # Enough other actors that reading Julia's four sitcoms as columns
+        # costs less than decoding and transposing all of :actedIn.
+        others = "".join(
+            f"<{EX}actor{i}> <{EX}actedIn> <{EX}show{(7 * i + k) % 40}> .\n" for i in range(200) for k in range(3)
+        )
+        fresh = TripleStore.from_ntriples(SEINFELD_NT + others)
+        fresh.save(str(tmp_path))
+        store = TripleStore.open(str(tmp_path))
+        queries = [
+            parse(Q1_TEXT),  # a row read, a masked S-O read, a column read
+            parse("SELECT ?s ?who WHERE { :Julia :actedIn ?s . OPTIONAL { ?who :actedIn ?s } }"),  # masked O-S
+            parse("SELECT ?f WHERE { :Jerry :hasFriend ?f . ?f :actedIn :Veep }"),
+        ]
+        wants = [sorted(run_query(q, fresh).relation.project(q.projection).rows, key=str) for q in queries]
+        whole = []
+        monkeypatch.setattr(bitopt.store._MatrixWords, "decode", lambda words: whole.append(words.pid))
+        monkeypatch.setattr(bitopt.bitmat, "transpose", lambda bm: whole.append(bm.slice_key))
+        for query, want in zip(queries, wants):
+            got = run_query(query, store).relation.project(query.projection).rows
+            assert got and sorted(got, key=str) == want
+        for obj, present in (("NYC", True), ("Veep", False)):
+            ground = TriplePattern(1, iri("Seinfeld"), iri("location"), iri(obj))
+            assert select_pattern_matrix(store, ground).count == present
+        assert whole == []
 
 
 # An IRI used as predicate and as subject and object, string literals holding
