@@ -22,7 +22,12 @@ reads (constant subject), column reads (constant object), masked S-O and
 O-S reads (a two-variable pattern loaded with its neighbours' mask), the
 whole matrices decoded, and the terms their dictionaries built from
 ``dict.tsv`` lines (only the ids a query emits or filters on need one); it
-fails if ``open`` itself built any term.
+fails if ``open`` itself built any term. Last, loads each random store
+twice, once as generated (every line is read by the N-Triples reader's
+whole-line match) and once with a comment after every line (which sends
+each line down the term-by-term path), and fails unless the two saved
+stores are byte-identical and the engine on the second agrees with the
+brute-force evaluator.
 
 Usage: python scripts/agreement_experiment.py [n_queries] [seed]
 """
@@ -213,6 +218,41 @@ def distinct_run(total: int, base_seed: int) -> Counter:
     return stats
 
 
+def store_files(store: TripleStore, directory: Path) -> dict[str, bytes]:
+    store.save(str(directory))
+    return {f.name: f.read_bytes() for f in sorted(directory.iterdir())}
+
+
+def fallback_run(total: int, base_seed: int, workdir: str) -> Counter:
+    cfg = GenConfig(p_optional=0.7, p_union=0.3, p_filter=0.3, p_cycle=0.25)
+    stats = Counter()
+    seed = base_seed
+    while stats["ran"] < total:
+        rng = random.Random(seed)
+        seed += 1
+        text = random_store_text(rng, cfg)
+        fast = TripleStore.from_ntriples(text)
+        slow = TripleStore.from_ntriples("".join(line + " # per-term\n" for line in text.split("\n")))
+        query = random_query(rng, cfg)
+        try:
+            result = run_query(query, slow)
+        except DisconnectedQueryError:
+            stats["rejected-cartesian"] += 1
+            continue
+        stats["ran"] += 1
+        if store_files(fast, Path(workdir, "fast")) == store_files(slow, Path(workdir, "slow")):
+            stats["identical stores"] += 1
+        else:
+            stats["STORE-DIFFERS"] += 1
+            print(f"stores differ at seed {seed - 1}")
+        if minimum_union(result.relation.project(query.projection)) == minimum_union(reference(query, fast)):
+            stats["agreed"] += 1
+        else:
+            stats["MISMATCH"] += 1
+            print(f"mismatch at seed {seed - 1} on the term-by-term store")
+    return stats
+
+
 def report(title: str, stats: Counter, elapsed: float) -> None:
     print(f"{title}: {stats['ran']} queries in {elapsed:.1f}s")
     for key in sorted(stats):
@@ -246,8 +286,13 @@ def main():
         f"  {'terms built/query':>20}: {rstats['terms built'] / ran:.2f}"
         f" of {rstats['dictionary lines'] / ran:.2f} dictionary lines (mean)"
     )
-    failed = dstats["JOIN-COUNT"] or rstats["OPEN-BUILT-TERMS"]
-    if any(s["MISMATCH"] for s in (stats, tstats, dstats, rstats)) or failed:
+    started = time.perf_counter()
+    with tempfile.TemporaryDirectory() as workdir:
+        fstats = fallback_run(total, base_seed, workdir)
+    fstats.setdefault("STORE-DIFFERS", 0)
+    report("term-by-term parse", fstats, time.perf_counter() - started)
+    failed = dstats["JOIN-COUNT"] or rstats["OPEN-BUILT-TERMS"] or fstats["STORE-DIFFERS"]
+    if any(s["MISMATCH"] for s in (stats, tstats, dstats, rstats, fstats)) or failed:
         sys.exit(1)
 
 

@@ -135,6 +135,8 @@ def row_from_positions(positions: Sequence[int], width: int) -> CompressedRow:
     without a big-int mask."""
     if positions and (positions[0] < 1 or positions[-1] > width):
         raise DimensionMismatchError("position outside the row width")
+    if len(positions) == 1 < width:  # one set bit takes two or three runs
+        return CompressedRow("pos", 0, tuple(positions))
     runs = []
     end = 0  # positions 1..end are covered by ``runs`` and ``ones``
     ones = 0

@@ -3,6 +3,12 @@
 Accepted per line: ``<iri> <iri> (<iri> | "literal" | integer) .`` with
 optional ``#`` comments and blank lines. Integer objects may be written bare
 (``45``) or as ``"45"^^<...#integer>``; both decode to integer literals.
+
+A line of three IRIs, or of two IRIs and a bare integer, with nothing after
+the ``.``, is read by one whole-line match, and its terms are interned for the length of
+one call: equal terms are then the same object, so a dict that already
+holds one finds it by identity. Every other line, including each line the
+match rejects, is read term by term, which reports what is wrong and where.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ import io
 import re
 from typing import Iterable, Iterator
 
-from .terms import Iri, Literal, Term, unescape
+from .terms import Iri, Literal, Term, parse_integer, unescape
 
 XSD_INTEGER = "http://www.w3.org/2001/XMLSchema#integer"
 
@@ -25,6 +31,23 @@ class NTriplesError(ValueError):
 _IRI_RE = re.compile(r"<([^<>\"{}|^`\\\s]*)>")
 _STRING_RE = re.compile(r'"((?:[^"\\]|\\.)*)"')
 _INT_RE = re.compile(r"[+-]?[0-9]+")
+# The whole-line fast path: three terms, the object an IRI or a bare integer.
+# An IRI here may hold any character but ``>``; ``_intern`` checks it against
+# ``_IRI_RE`` once per distinct text, which costs less than a strict class
+# tested on every character of every line. Each group keeps an IRI's
+# brackets, so an IRI's text and an integer's text never collide as keys.
+_LINE_RE = re.compile(r"(<[^>]*>)[ \t]*(<[^>]*>)[ \t]*(<[^>]*>|[+-]?[0-9]+)[ \t]*\.")
+
+
+class _NotFast(Exception):
+    """A fast-path match holds an IRI that ``_IRI_RE`` rejects."""
+
+
+def _integer(lexical: str, line_no: int) -> Literal:
+    try:
+        return Literal(parse_integer(lexical))
+    except ValueError as exc:
+        raise NTriplesError(str(exc), line_no) from None
 
 
 def _parse_term(text: str, pos: int, line_no: int) -> tuple[Term, int]:
@@ -51,14 +74,11 @@ def _parse_term(text: str, pos: int, line_no: int) -> tuple[Term, int]:
                 raise NTriplesError("malformed datatype IRI", line_no)
             if dt.group(1) != XSD_INTEGER:
                 raise NTriplesError(f"unsupported datatype <{dt.group(1)}>", line_no)
-            try:
-                return Literal(int(value)), dt.end()
-            except ValueError:
-                raise NTriplesError(f"bad integer lexical form {value!r}", line_no) from None
+            return _integer(value, line_no), dt.end()
         return Literal(value), end
     m = _INT_RE.match(text, pos)
     if m:
-        return Literal(int(m.group(0))), m.end()
+        return _integer(m.group(0), line_no), m.end()
     raise NTriplesError(f"unrecognized term at column {pos + 1}", line_no)
 
 
@@ -68,19 +88,70 @@ def _skip_ws(text: str, pos: int) -> int:
     return pos
 
 
+def _not_utf8(exc: UnicodeDecodeError, line_no: int, column: int) -> NTriplesError:
+    return NTriplesError(f"not UTF-8 ({exc.reason} at byte {column + 1} of the line)", line_no)
+
+
+def _decoded(lines: Iterable) -> Iterator[str]:
+    for line_no, line in enumerate(lines, start=1):
+        if isinstance(line, bytes):
+            try:
+                line = line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise _not_utf8(exc, line_no, exc.start) from None
+        yield line
+
+
+def _intern(terms: dict, text: str, line_no: int) -> Term:
+    """The term of a fast-path match group, made on the text's first
+    occurrence: one ``Iri`` per IRI text and one ``Literal`` per integer
+    value, kept in ``terms`` under the text (and an integer's literal also
+    under its value). Raises _NotFast for an IRI that ``_IRI_RE`` rejects."""
+    if text[0] == "<":
+        if _IRI_RE.fullmatch(text) is None:
+            raise _NotFast
+        term = Iri(text[1:-1])
+    else:
+        literal = _integer(text, line_no)
+        term = terms.setdefault(literal.value, literal)
+    terms[text] = term
+    return term
+
+
 def parse_ntriples(source: "str | bytes | io.IOBase | Iterable[str]") -> Iterator[tuple[Term, Term, Term]]:
     """Yield (subject, predicate, object) triples; duplicates are not collapsed here."""
     # Only LF ends a line: str.splitlines() would also split inside a
     # literal at U+2028, U+0085, a form feed and other breaks.
     if isinstance(source, bytes):
-        lines: Iterable[str] = source.decode("utf-8").split("\n")
+        try:
+            text = source.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line_start = source.rfind(b"\n", 0, exc.start) + 1
+            raise _not_utf8(exc, source.count(b"\n", 0, line_start) + 1, exc.start - line_start) from None
+        lines: Iterable[str] = text.split("\n")
     elif isinstance(source, str):
         lines = source.split("\n")
     else:
-        lines = (ln.decode("utf-8") if isinstance(ln, bytes) else ln for ln in source)
+        lines = _decoded(source)
 
+    terms: dict = {}  # interned fast-path terms, see _intern
+    get, match = terms.get, _LINE_RE.fullmatch
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
+        m = match(line)
+        if m is not None:
+            s, p, o = m.groups()
+            try:
+                triple = (
+                    get(s) or _intern(terms, s, line_no),
+                    get(p) or _intern(terms, p, line_no),
+                    get(o) or _intern(terms, o, line_no),
+                )
+            except _NotFast:
+                pass  # the term-by-term path reports the IRI
+            else:
+                yield triple
+                continue
         if not line or line.startswith("#"):
             continue
         pos = 0

@@ -31,7 +31,7 @@ from .algebra import (
     check_well_designed,
     node_vars,
 )
-from .terms import Iri, Literal, unescape
+from .terms import Iri, Literal, parse_integer, unescape
 
 DEFAULT_PREFIXES = {
     "": "http://example.org/",
@@ -249,7 +249,10 @@ class _Parser:
             if position in ("subject", "predicate"):
                 raise QuerySyntaxError(f"literal in {position} position", tok.line, tok.col)
             if tok.kind == "integer":
-                return Literal(int(tok.value))
+                try:
+                    return Literal(parse_integer(tok.value))
+                except ValueError as exc:
+                    raise QuerySyntaxError(str(exc), tok.line, tok.col) from None
             try:
                 return Literal(unescape(tok.value[1:-1]))
             except ValueError as exc:

@@ -8,6 +8,7 @@ lexicographically; IRIs support equality only.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 
 
@@ -77,3 +78,15 @@ def render_term(term: "Term | None") -> str:
     """TSV rendering; NULL becomes the empty field. A tab in a literal is
     written as ``\\t``, so every row keeps one field per column."""
     return "" if term is None else term.n3().replace("\t", "\\t")
+
+
+def parse_integer(lexical: str) -> int:
+    """``int(lexical)``, raising a ValueError whose message quotes at most
+    the first 40 characters of ``lexical``."""
+    try:
+        return int(lexical)
+    except ValueError:
+        shown = repr(lexical) if len(lexical) <= 40 else f"{lexical[:40]!r}... ({len(lexical)} characters)"
+        if re.fullmatch(r"[+-]?[0-9]+", lexical):  # well formed, so too long for int()
+            raise ValueError(f"integer {shown} has more than {sys.get_int_max_str_digits()} digits") from None
+        raise ValueError(f"bad integer lexical form {shown}") from None

@@ -97,6 +97,31 @@ class TestLoad:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
 
+    def test_data_not_utf8(self, tmp_path, capsys):
+        data = tmp_path / "bad.nt"
+        data.write_bytes(SEINFELD_NT.encode() + f'<{EX}a> <{EX}p> "\xff" .\n'.encode("latin-1"))
+        assert main(["load", str(tmp_path / "s"), str(data)]) == EXIT_IO
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert "line 9: not UTF-8" in err[0]
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            "1" * 5000,  # read by the whole-line match
+            "1" * 5000 + " . # read term by term",
+            '"' + "1" * 5000 + '"^^<http://www.w3.org/2001/XMLSchema#integer>',
+        ],
+    )
+    def test_integer_too_long(self, tmp_path, capsys, obj):
+        data = tmp_path / "bad.nt"
+        data.write_text(f"<{EX}a> <{EX}age> {obj} .\n")
+        assert main(["load", str(tmp_path / "s"), str(data)]) == EXIT_IO
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert "line 1: integer" in err[0] and "digits" in err[0] and len(err[0]) < 200, err
+
 
 class TestQuery:
     def test_q1_tsv(self, tmp_path, store_dir, capsys):
@@ -197,6 +222,13 @@ class TestQuery:
     def test_syntax_error_rejected(self, tmp_path, store_dir):
         qpath = write_query(tmp_path, "SELECT ?x WHERE { ?x :p }")
         assert main(["query", str(store_dir), qpath]) == EXIT_REJECTED
+
+    def test_integer_too_long_rejected(self, tmp_path, store_dir, capsys):
+        qpath = write_query(tmp_path, f"SELECT ?x WHERE {{ ?x :age {'1' * 5000} }}")
+        assert main(["query", str(store_dir), qpath]) == EXIT_REJECTED
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: syntax: integer"), err
+        assert "digits" in err[0] and len(err[0]) < 200, err
 
     def test_unsafe_order_requires_no_prune(self, tmp_path, store_dir):
         qpath = write_query(tmp_path, Q1_TEXT)

@@ -2,8 +2,12 @@
 on-disk round trip."""
 
 import random
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitopt import bitmat
 from bitopt.bitmat import BitArray
@@ -65,6 +69,78 @@ class TestNTriples:
         with pytest.raises(NTriplesError) as err:
             list(parse_ntriples(f'<{EX}a> <{EX}p> <{EX}b> .\n<{EX}a> <{EX}p> "x{escape}" .'))
         assert "line 2" in str(err.value)
+
+
+# Pieces of N-Triples lines for the fast-path parity test: well formed and
+# malformed terms of every kind, and the gaps between them.
+_XSD_INT = "<http://www.w3.org/2001/XMLSchema#integer>"
+_IRI_BODIES = st.text(st.sampled_from("abp:/#.-_9é" + ' \t<"{}|^`\\\u00a0\u2028'), max_size=6)
+_TERMS = st.one_of(
+    _IRI_BODIES.map(lambda body: f"<{EX}{body}>"),
+    st.sampled_from([f"<{EX}a>", f"<{EX}b>", f"<{EX}p>", "<>", f"<{EX}open", f"<{EX}a<b>"]),
+    st.from_regex(r"[+-]?[0-9]{0,3}", fullmatch=True),
+    st.sampled_from(["7", "07", "+7", "-0", "1.5", "9" * 4301]),
+    st.text(st.sampled_from('ab #."\\t'), max_size=5).map(lambda body: f'"{body}"'),
+    st.sampled_from(["12", " 12", "x", "", "9" * 4301]).map(lambda lex: f'"{lex}"^^{_XSD_INT}'),
+    st.just(f'"12"^^<{EX}other>'),
+)
+_GAPS = st.sampled_from(["", " ", "\t", " \t "])
+_LINES = st.tuples(_GAPS, _TERMS, _GAPS, _TERMS, _GAPS, _TERMS, _GAPS, st.sampled_from(["", " ", "\r"])).map(
+    lambda parts: "".join(parts[:7]) + "." + parts[7]
+)
+
+
+def _outcome(text: str):
+    try:
+        return list(parse_ntriples(text))
+    except NTriplesError as exc:
+        return f"error: {exc}"
+
+
+def _commented(text: str) -> str:
+    """``text`` with a comment after every line: each line then takes the
+    term-by-term path."""
+    return "".join(line + " # c\n" for line in text.split("\n"))
+
+
+class TestFastPath:
+    """A line the whole-line match reads gives what the term-by-term path
+    gives for the same line with a comment after it, which that match
+    never reads."""
+
+    @given(st.lists(_LINES, min_size=1, max_size=4))
+    @settings(max_examples=400, deadline=None)
+    def test_same_triples_or_error_as_term_by_term(self, lines):
+        text = "\n".join(lines)
+        assert _outcome(text) == _outcome(_commented(text))
+
+    @pytest.mark.parametrize("as_lines", [False, True])
+    def test_not_utf8_names_line_and_byte(self, as_lines):
+        data = f"<{EX}a> <{EX}p> <{EX}b> .\n<{EX}a> <{EX}p> \"x\xff\" .\n".encode("latin-1")
+        source = data.splitlines(keepends=True) if as_lines else data
+        with pytest.raises(NTriplesError) as err:
+            list(parse_ntriples(source))
+        assert str(err.value) == f"line 2: not UTF-8 (invalid start byte at byte {len(EX) * 2 + 11} of the line)"
+
+    def test_equal_terms_are_one_object(self):
+        text = f"<{EX}a> <{EX}p> 5 .\n<{EX}b> <{EX}p> +5 .\n<{EX}b> <{EX}p> <{EX}a> ."
+        (a, p, five), (b, p2, five2), (b2, p3, a2) = parse_ntriples(text)
+        assert a is a2 and b is b2 and p is p2 is p3 and five is five2
+
+    def test_store_files_identical(self, tmp_path):
+        sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+        try:
+            import lubm
+        finally:
+            sys.path.pop(0)
+        for name, text in (("seinfeld", SEINFELD_NT), ("lubm", lubm.generate(1, 1).ntriples())):
+            plain, commented = tmp_path / f"{name}-plain", tmp_path / f"{name}-commented"
+            TripleStore.from_ntriples(text.encode()).save(str(plain))
+            TripleStore.from_ntriples(_commented(text).encode()).save(str(commented))
+            files = sorted(f.name for f in plain.iterdir())
+            assert files == sorted(f.name for f in commented.iterdir())
+            for f in files:
+                assert (plain / f).read_bytes() == (commented / f).read_bytes(), (name, f)
 
 
 class TestDictionary:
