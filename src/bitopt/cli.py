@@ -15,7 +15,7 @@ import sys
 
 from .algebra import QueryRejectedError
 from .distinct import distinct_eval
-from .executor import Relation, RunConfig, run_query
+from .executor import Relation, RunConfig, best_match, run_query
 from .explain import render_explain
 from .ntriples import NTriplesError
 from .oracle import OracleCapacityError, oracle_eval
@@ -23,7 +23,7 @@ from .parser import QuerySyntaxError, parse
 from .patmat import UnsupportedByIndexError
 from .store import StoreError, TripleStore
 from .structure import DisconnectedQueryError
-from .terms import render_term
+from .terms import render_term, term_sort_key
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -92,8 +92,10 @@ def cmd_load(args) -> int:
 
 
 def _emit(relation, header, out) -> None:
+    """Write the header and the rows as TSV, NULL first, then by
+    ``term_sort_key``: the one place result rows are sorted."""
     out.write("\t".join(str(v) for v in header) + "\n")
-    for row in relation.sorted_rows():
+    for row in sorted(relation.rows, key=lambda row: tuple((0,) if t is None else (1, *term_sort_key(t)) for t in row)):
         out.write("\t".join(render_term(t) for t in row) + "\n")
 
 
@@ -134,7 +136,7 @@ def cmd_query(args) -> int:
                 ],
             )
             if query.distinct:
-                projected = projected.distinct()
+                projected = best_match(projected)
             _emit(projected, query.projection, out)
             return EXIT_OK
         config = RunConfig(

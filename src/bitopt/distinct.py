@@ -30,9 +30,10 @@ from .executor import (
     best_match,
     build_stps,
     execute,
+    key_rows,
     plan_query,
     run_query,
-    term_rows,
+    term_relation,
 )
 from .patmat import PatternMatrix
 from .store import TripleStore
@@ -368,8 +369,9 @@ def _naive(query: Query, result: EngineResult) -> DistinctOutcome:
 
 def _evaluate_mcs(mcs: Mcs, gosn: Gosn, store: TripleStore, query: Query) -> Relation:
     """Run the surviving matrices (patterns and products alike) through the
-    engine's pipelined join, emit its rows over the distinct variables (one
-    no surviving matrix binds is NULL), and dedup with subsumption."""
+    engine's pipelined join, take its rows of join keys over the distinct
+    variables (one no surviving matrix binds is NULL), dedup them with
+    subsumption and turn the rows kept into terms."""
     join = MultiWayJoin(gosn, mcs.nodes, build_stps(gosn, mcs, mcs.nodes), store)
-    rows = term_rows(join, query.projection)
-    return best_match(Relation(query.projection, list(rows)))
+    rows = Relation(query.projection, list(key_rows(join, query.projection)))
+    return term_relation(best_match(rows), store)

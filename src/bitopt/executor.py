@@ -45,7 +45,7 @@ from .structure import (
     check_property_one,
     classify,
 )
-from .terms import Term, term_sort_key
+from .terms import Term
 
 BOUND = "bound"
 FAILED = "failed"
@@ -62,31 +62,16 @@ class RunConfig:
 
 @dataclass
 class Relation:
-    """Ordered bag of rows over a fixed variable header; NULL is None."""
+    """Bag of rows over a fixed variable header; NULL is None. A row's cells
+    are terms, or join keys (``Dictionary.key``) until ``execute`` and the
+    DISTINCT paths turn the rows they keep into terms."""
 
     header: tuple[Variable, ...]
-    rows: list[tuple["Term | None", ...]] = field(default_factory=list)
-
-    def sorted_rows(self) -> list[tuple["Term | None", ...]]:
-        def key(row):
-            return tuple(
-                (0,) if t is None else (1,) + term_sort_key(t) for t in row
-            )
-
-        return sorted(self.rows, key=key)
+    rows: list[tuple] = field(default_factory=list)
 
     def project(self, variables: tuple[Variable, ...]) -> "Relation":
         idx = [self.header.index(v) for v in variables]
         return Relation(variables, [tuple(row[i] for i in idx) for row in self.rows])
-
-    def distinct(self) -> "Relation":
-        seen = set()
-        out = []
-        for row in self.sorted_rows():
-            if row not in seen:
-                seen.add(row)
-                out.append(row)
-        return Relation(self.header, out)
 
 
 def subsumes(r1: tuple, r2: tuple) -> bool:
@@ -109,7 +94,9 @@ def best_match(relation: Relation) -> Relation:
     subsume it. So the distinct rows are grouped by NULL pattern, and a row
     is dropped when its projection onto its bound positions is a projection
     of some row of a strictly wider group. Subsumption is transitive, so
-    being subsumed by any row is the same as being subsumed by a kept one."""
+    being subsumed by any row is the same as being subsumed by a kept one.
+    A cell is only tested against None and for equality, so the rows may be
+    join keys as well as terms. The kept rows are in no particular order."""
     groups: dict[frozenset[int], list[tuple]] = defaultdict(list)
     for row in set(relation.rows):
         groups[frozenset(i for i, t in enumerate(row) if t is None)].append(row)
@@ -126,7 +113,7 @@ def best_match(relation: Relation) -> Relation:
             for row in rows
         }
         kept.extend(row for row in group if tuple(row[i] for i in bound) not in covered)
-    return Relation(relation.header, Relation(relation.header, kept).sorted_rows())
+    return Relation(relation.header, kept)
 
 
 # ---------------------------------------------------------------------------
@@ -486,23 +473,29 @@ def plan_query(query: Query, store: TripleStore, config: "RunConfig | None" = No
     return Plan(store, config, header, unf.rule3_used, traces, schedules, matrices)
 
 
-def term_rows(join: MultiWayJoin, header: tuple[Variable, ...]) -> Iterator[tuple["Term | None", ...]]:
-    """Run ``join`` and turn each row into terms over ``header``; a variable
-    the join does not bind, or binds to NULL, is None."""
+def key_rows(join: MultiWayJoin, header: tuple[Variable, ...]) -> Iterator[tuple["int | None", ...]]:
+    """Run ``join`` and yield each row as join keys over ``header``; a
+    variable the join does not bind, or binds to NULL, is None."""
     slots = [join.slot.get(v) for v in header]
-    term = join.store.dictionary.term
     for vals in join.run():
-        yield tuple(None if s is None or vals[s] is None else term(vals[s]) for s in slots)
+        yield tuple(None if s is None else vals[s] for s in slots)
+
+
+def term_relation(relation: Relation, store: TripleStore) -> Relation:
+    """``relation`` with each join key turned into its term."""
+    term = store.dictionary.term
+    return Relation(relation.header, [tuple(None if k is None else term(k) for k in row) for row in relation.rows])
 
 
 def execute(plan: Plan) -> EngineResult:
-    """Run each disjunct's pipelined join, union all rows, then apply
-    best-match when a disjunct nullified something or the slave-side union
-    rewrite was used."""
+    """Run each disjunct's pipelined join, union all rows, apply best-match
+    when a disjunct nullified something or the slave-side union rewrite was
+    used, then turn the rows kept into terms. Until then a row is join
+    keys: best-match compares keys, which name S/O terms one to one."""
     relation = Relation(plan.header)
     for trace in plan.disjuncts:
         join = MultiWayJoin(trace.gosn, trace.matrices, trace.stps, plan.store, trace.nulreqd, trace.residual)
-        relation.rows.extend(term_rows(join, plan.header))
+        relation.rows.extend(key_rows(join, plan.header))
         trace.stats = join.stats
     if plan.config.best_match == "auto":
         apply_bm = plan.rule3_used or any(t.stats.nullified_rows for t in plan.disjuncts)
@@ -510,7 +503,7 @@ def execute(plan: Plan) -> EngineResult:
         apply_bm = plan.config.best_match == "on"
     if apply_bm:
         relation = best_match(relation)
-    return EngineResult(**vars(plan), relation=relation, best_match_applied=apply_bm)
+    return EngineResult(**vars(plan), relation=term_relation(relation, plan.store), best_match_applied=apply_bm)
 
 
 def run_query(query: Query, store: TripleStore, config: "RunConfig | None" = None) -> EngineResult:

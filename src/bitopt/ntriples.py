@@ -167,7 +167,7 @@ def parse_ntriples(source: "str | bytes | io.IOBase | Iterable[str]") -> Iterato
         pos = _skip_ws(line, pos)
         if pos >= len(line) or line[pos] != ".":
             raise NTriplesError("missing terminating '.'", line_no)
-        trailing = line[pos + 1 :].strip()
-        if trailing and not trailing.startswith("#"):
+        trailing = line[pos + 1 :].split("#", 1)[0].strip()  # up to a comment
+        if trailing:
             raise NTriplesError(f"trailing content {trailing!r}", line_no)
         yield (s, p, o)

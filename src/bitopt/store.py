@@ -7,10 +7,11 @@ at n_so+1..n_o, predicates live in their own 1..n_p space. The conceptual
 subject x predicate x object bit cube is never materialized.
 
 The S-O matrix of each predicate is the only copy of the triples, in memory
-and on disk. In memory it is the words of its file, read on the predicate's
-first use, with a row-offset table built then and never stored; a read
-decodes only the rows it returns. The row read of a pattern with a constant
-subject, ``(:s :p ?o)``, decodes row s; the column read of a pattern with a
+and on disk. In memory it is the bytes of its file, read once, by ``open``
+or from the encoder; the predicate's first use views them as words and
+builds a row-offset table, which is never stored. A read decodes only the
+rows it returns. The row read of a pattern with a constant subject,
+``(:s :p ?o)``, decodes row s; the column read of a pattern with a
 constant object, ``(?s :p :o)``, searches the file's bytes for o's word. A
 masked read of a two-variable pattern returns only the rows its mask keeps:
 S-O rows decoded one by one, or O-S rows built as column reads. A whole
@@ -24,12 +25,13 @@ line with its byte size, CRC-32 and the counts n_s, n_o, n_so and n_p, then
 one line per matrix file with its byte size and CRC-32. ``save`` writes a
 new directory beside it and renames that into place. ``TripleStore.open``
 checks every file's size and checksum against the manifest, the
-dictionary's line count and each matrix header against the counts, but
-builds no term and decodes no rows. The dictionary stays the bytes of
-``dict.tsv``: it resolves only the terms a query names and the ids it
-emits, each checked when first read. A matrix file's structure and its
-header's triple count are checked on the predicate's first use, and a row's
-positions when a read first decodes that row.
+dictionary's line count and each matrix header against the counts, and
+keeps the bytes it checked, but builds no term and decodes no rows. The
+dictionary stays the bytes of ``dict.tsv``: it resolves only the terms a
+query names and the ids it emits, each checked when first read. A matrix
+file's structure and its header's triple count are checked on the
+predicate's first use, and a row's positions when a read first decodes
+that row.
 """
 
 from __future__ import annotations
@@ -257,7 +259,7 @@ _HITS_PER_ROW = 0.5
 class TripleStore:
     """Immutable-after-load triple store; any number of concurrent readers.
 
-    The S-O matrix of each predicate is held as the words of its file, the
+    The S-O matrix of each predicate is held as the bytes of its file, the
     only copy of the triples. Row, column and masked reads decode only what
     they return; a whole matrix, and its transpose, is decoded on its first
     unmasked read and cached under ``("SO", pid)`` or ``("OS", pid)``.
@@ -266,9 +268,10 @@ class TripleStore:
     def __init__(self, dictionary: Dictionary):
         self.dictionary = dictionary
         self._cache: dict[tuple[str, object], BitMat] = {}
-        # Predicate id -> (path, byte size, CRC-32) of its matrix file.
-        self._files: dict[int, tuple[str, int, int]] = {}
-        # Predicate id -> its matrix words, read on the predicate's first use.
+        # Predicate id -> the name or path of its matrix file, and its bytes:
+        # the encoder's, or those ``open`` read and checked.
+        self._data: dict[int, tuple[str, bytes]] = {}
+        # Predicate id -> its matrix words, built on the predicate's first use.
         self._words: dict[int, _MatrixWords] = {}
 
     @classmethod
@@ -289,16 +292,15 @@ class TripleStore:
         del term_triples
         store = cls(d)
         for pid in range(1, d.n_p + 1):
-            data = _encode_matrix(pid, grouped.pop(pid), d.n_s, d.n_o)
-            store._words[pid] = _MatrixWords(f"bm_so_{pid}.bin", data, d)
+            store._data[pid] = (f"bm_so_{pid}.bin", _encode_matrix(pid, grouped.pop(pid), d.n_s, d.n_o))
         return store
 
     def _matrix(self, pid: int) -> "_MatrixWords":
         words = self._words.get(pid)
         if words is None:
-            if pid not in self._files:
+            if pid not in self._data:
                 raise StoreError(f"no S-O matrix for predicate {pid}")
-            words = self._words[pid] = _read_words(self._files[pid], self.dictionary)
+            words = self._words[pid] = _MatrixWords(*self._data[pid], self.dictionary)
         return words
 
     @property
@@ -410,7 +412,7 @@ class TripleStore:
             ]
             for pid in range(1, d.n_p + 1):
                 name = f"bm_so_{pid}.bin"
-                data = self._matrix(pid).data
+                data = self._data[pid][1]
                 with open(os.path.join(staged, name), "wb") as fh:
                     fh.write(data)
                 names.append(name)
@@ -438,7 +440,7 @@ class TripleStore:
         manifest's, raises StoreError here. A dictionary line or a matrix row
         that does not fit raises it when a query first reads it, a matrix
         file's structure or triple count when a query first reads its
-        predicate."""
+        predicate. The bytes checked here are kept: no file is read again."""
         dict_path = os.path.join(directory, "dict.tsv")
         manifest_path = os.path.join(directory, "manifest.txt")
         if not os.path.isfile(dict_path):
@@ -460,11 +462,11 @@ class TripleStore:
                 pid = _check_header(data, d)
             except StoreError as exc:
                 raise StoreError(f"{path}: corrupt S-O matrix ({exc})") from None
-            if pid in store._files:
+            if pid in store._data:
                 raise StoreError(f"{path}: second S-O matrix for predicate {pid}")
-            store._files[pid] = (path, size, crc)
+            store._data[pid] = (path, data)
         for pid in range(1, d.n_p + 1):
-            if pid not in store._files:
+            if pid not in store._data:
                 raise StoreError(f"{directory}: no S-O matrix for predicate {pid}")
         return store
 
@@ -572,12 +574,6 @@ def _check_header(data: bytes, d: Dictionary) -> int:
     if (n_rows, n_cols) != (d.n_s, d.n_o):
         raise StoreError(f"{n_rows}x{n_cols} matrix, dictionary has {d.n_s}x{d.n_o}")
     return slice_key
-
-
-def _read_words(entry: tuple[str, int, int], d: Dictionary) -> "_MatrixWords":
-    """Read one S-O matrix file, check it against the manifest again (it
-    may have changed since ``open``) and build its row-offset table."""
-    return _MatrixWords(entry[0], _read_checked(*entry), d)
 
 
 class _MatrixWords:

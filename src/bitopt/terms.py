@@ -41,6 +41,7 @@ class Literal:
 
 Term = Iri | Literal
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 _ECHAR = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
 _ESCAPE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))", re.DOTALL)
 
@@ -81,12 +82,16 @@ def render_term(term: "Term | None") -> str:
 
 
 def parse_integer(lexical: str) -> int:
-    """``int(lexical)``, raising a ValueError whose message quotes at most
-    the first 40 characters of ``lexical``."""
-    try:
-        return int(lexical)
-    except ValueError:
-        shown = repr(lexical) if len(lexical) <= 40 else f"{lexical[:40]!r}... ({len(lexical)} characters)"
-        if re.fullmatch(r"[+-]?[0-9]+", lexical):  # well formed, so too long for int()
-            raise ValueError(f"integer {shown} has more than {sys.get_int_max_str_digits()} digits") from None
-        raise ValueError(f"bad integer lexical form {shown}") from None
+    """The value of an integer's lexical form ``[+-]?[0-9]+``, ASCII digits
+    only. Anything else, and a form longer than ``int()`` reads, raises a
+    ValueError whose message quotes at most the first 40 characters."""
+    well_formed = _INTEGER.fullmatch(lexical) is not None
+    if well_formed:
+        try:
+            return int(lexical)
+        except ValueError:
+            pass
+    shown = repr(lexical) if len(lexical) <= 40 else f"{lexical[:40]!r}... ({len(lexical)} characters)"
+    if well_formed:  # so too long for int()
+        raise ValueError(f"integer {shown} has more than {sys.get_int_max_str_digits()} digits")
+    raise ValueError(f"bad integer lexical form {shown}")

@@ -1,16 +1,19 @@
 """Command-line behavior: load/query flows, flags, exit codes, TSV shape,
 and explain output stability."""
 
+import random
 import struct
 import zlib
 from types import SimpleNamespace
 
 import pytest
 
+from bitopt.algebra import Query
 from bitopt.cli import EXIT_IO, EXIT_OK, EXIT_REJECTED, EXIT_UNSUPPORTED, main
 from bitopt.store import StoreError, TripleStore
 
 from conftest import EX, MOVIE_QUERY, MOVIES_NT, Q1_TEXT, SEINFELD_NT
+from workload import GenConfig, random_query, random_store_text, sparql
 
 
 @pytest.fixture()
@@ -122,6 +125,15 @@ class TestLoad:
         assert len(err) == 1 and err[0].startswith("error: "), err
         assert "line 1: integer" in err[0] and "digits" in err[0] and len(err[0]) < 200, err
 
+    @pytest.mark.parametrize("lexical", ["1_000", " 12 ", "\u0661\u0662", "12.0"])  # \u0661\u0662: Arabic-Indic 12
+    def test_bad_integer_lexical_form(self, tmp_path, capsys, lexical):
+        data = tmp_path / "bad.nt"
+        data.write_text(f'<{EX}a> <{EX}age> "{lexical}"^^<http://www.w3.org/2001/XMLSchema#integer> .\n', encoding="utf-8")
+        assert main(["load", str(tmp_path / "s"), str(data)]) == EXIT_IO
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert f"line 1: bad integer lexical form {lexical!r}" in err[0], err
+
 
 class TestQuery:
     def test_q1_tsv(self, tmp_path, store_dir, capsys):
@@ -230,6 +242,15 @@ class TestQuery:
         assert len(err) == 1 and err[0].startswith("error: syntax: integer"), err
         assert "digits" in err[0] and len(err[0]) < 200, err
 
+    @pytest.mark.parametrize("lexical", ["1_000", "\u0661\u0662"])
+    def test_bad_integer_lexical_form_rejected(self, tmp_path, store_dir, capsys, lexical):
+        qpath = write_query(tmp_path, f"SELECT ?x WHERE {{ ?x :age {lexical} }}")
+        assert main(["query", str(store_dir), qpath]) == EXIT_REJECTED
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: syntax: "), err
+        assert captured.out == ""
+
     def test_unsafe_order_requires_no_prune(self, tmp_path, store_dir):
         qpath = write_query(tmp_path, Q1_TEXT)
         assert main(["query", str(store_dir), qpath, "--unsafe-order"]) == EXIT_IO
@@ -279,6 +300,43 @@ class TestQuery:
         assert captured.out.count("UmaThurman") == 1
         assert "distinct.path=bmm-bgp" in captured.err
 
+
+
+class TestOracleDistinct:
+    """DISTINCT drops subsumed rows in both modes, so ``--oracle`` prints the
+    engine's TSV byte for byte."""
+
+    @staticmethod
+    def _outputs(tmp_path, data_text: str, query_text: str) -> list[bytes]:
+        tmp_path.mkdir(exist_ok=True)
+        data = tmp_path / "data.nt"
+        data.write_text(data_text)
+        assert main(["load", str(tmp_path / "s"), str(data)]) == EXIT_OK
+        qpath = write_query(tmp_path, query_text)
+        outs = []
+        for flags in ([], ["--oracle"]):
+            out = tmp_path / "out.tsv"
+            assert main(["query", str(tmp_path / "s"), qpath, "-o", str(out), *flags]) == EXIT_OK
+            outs.append(out.read_bytes())
+        return outs
+
+    def test_subsumed_row_dropped(self, tmp_path, capsys):
+        data = f"<{EX}a> <{EX}p> <{EX}x> .\n<{EX}x> <{EX}q> <{EX}y> .\n<{EX}a> <{EX}p> <{EX}z> .\n"
+        query = "SELECT DISTINCT ?s ?y WHERE { ?s :p ?o . OPTIONAL { ?o :q ?y } }"
+        engine, oracle = self._outputs(tmp_path, data, query)
+        assert engine == oracle == f"?s\t?y\n<{EX}a>\t<{EX}y>\n".encode()
+
+    def test_random_queries(self, tmp_path, capsys):
+        cfg = GenConfig(p_union=0.2, p_filter=0.2, p_cycle=0.2)
+        for seed in range(40):
+            rng = random.Random(seed)
+            data = random_store_text(rng, cfg)
+            query = random_query(rng, cfg)
+            k = rng.randint(1, min(3, len(query.projection)))
+            projection = tuple(sorted(rng.sample(query.projection, k), key=lambda v: v.name))
+            text = sparql(Query(projection, True, query.root))
+            engine, oracle = self._outputs(tmp_path / str(seed), data, text)
+            assert engine == oracle, text
 
 def _set_word(path, index, value):
     blob = bytearray(path.read_bytes())

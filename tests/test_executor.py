@@ -211,7 +211,7 @@ class TestSubsumption:
         for r1 in out.rows:
             for r2 in out.rows:
                 assert not subsumes(r1, r2)
-        assert best_match(out).rows == out.rows
+        assert set(best_match(out).rows) == set(out.rows)
         assert len(set(out.rows)) == len(out.rows)
 
     @given(st.lists(rows3, max_size=14))
@@ -223,18 +223,60 @@ class TestSubsumption:
                 assert row in kept
 
     @given(
-        st.integers(1, 5).flatmap(
-            lambda width: st.lists(
-                st.tuples(*[st.sampled_from([None] + [Iri(f"{EX}e{i}") for i in range(3)])] * width),
-                max_size=80,
-            ).map(lambda rows: Relation(tuple(f"v{i}" for i in range(width)), rows))
+        # Cells are terms, or join keys as the engine's rows hold them.
+        st.sampled_from([[Iri(f"{EX}e{i}") for i in range(3)], [1, 2, -2]]).flatmap(
+            lambda cells: st.integers(1, 5).flatmap(
+                lambda width: st.lists(
+                    st.tuples(*[st.sampled_from([None, *cells])] * width),
+                    max_size=80,
+                ).map(lambda rows: Relation(tuple(f"v{i}" for i in range(width)), rows))
+            )
         )
     )
     @settings(max_examples=300)
     def test_best_match_is_the_brute_force_antichain(self, rel):
         unique = set(rel.rows)
-        antichain = [r for r in unique if not any(subsumes(r, other) for other in unique)]
-        assert best_match(rel).rows == Relation(rel.header, antichain).sorted_rows()
+        antichain = {r for r in unique if not any(subsumes(r, other) for other in unique)}
+        out = best_match(rel).rows
+        assert len(out) == len(antichain) and set(out) == antichain
+
+
+class TestTermsOfKeptRows:
+    """Rows stay join keys through best-match: ``Dictionary.term`` is called
+    only for the cells of the rows it keeps."""
+
+    @pytest.fixture()
+    def term_calls(self, monkeypatch):
+        from bitopt.store import Dictionary
+
+        calls, original = [], Dictionary.term
+
+        def spy(self, key):
+            calls.append(key)
+            return original(self, key)
+
+        monkeypatch.setattr(Dictionary, "term", spy)
+        return calls
+
+    @staticmethod
+    def _cells(relation) -> int:
+        return sum(t is not None for row in relation.rows for t in row)
+
+    def test_execute(self, seinfeld_store, term_calls):
+        # Res2 of the paper's example: five rows, of which best-match keeps two.
+        result = run_query(parse(Q1_TEXT), seinfeld_store, TEXTUAL_ORDER)
+        assert sum(t.stats.rows_emitted for t in result.disjuncts) == 5
+        assert rows_of(result.relation) == [("Julia", "Seinfeld"), ("Larry", "NULL")]
+        assert 0 < len(term_calls) <= self._cells(result.relation)
+
+    def test_distinct(self, term_calls):
+        # The covering subgraph joins each :p edge of :a with the product's
+        # row for :a, so (a, y) comes twice and the dedup keeps one.
+        store = TripleStore.from_ntriples(f"<{EX}a> <{EX}p> <{EX}x> .\n<{EX}x> <{EX}q> <{EX}y> .\n<{EX}a> <{EX}p> <{EX}z> .\n")
+        outcome = distinct_eval(parse("SELECT DISTINCT ?s ?y WHERE { ?s :p ?o . OPTIONAL { ?o :q ?y } }"), store)
+        assert outcome.path == "bmm-bgp-opt"
+        assert rows_of(outcome.relation) == [("a", "y")]
+        assert 0 < len(term_calls) <= self._cells(outcome.relation)
 
 
 class TestStandaloneNullification:

@@ -264,3 +264,30 @@ def _random_filter(b: _Builder, scope: list[Variable]):
     if rng.random() < 0.3:
         return Or(tuple(conjuncts))
     return And(tuple(conjuncts))
+
+
+def sparql(query: Query) -> str:
+    """SPARQL text that ``bitopt.parser.parse`` reads as ``query``, up to
+    the numbering of its patterns."""
+
+    def show(t) -> str:
+        return str(t) if isinstance(t, Variable) else t.n3()
+
+    def group(node: PatternNode) -> str:
+        return "{ " + body(node) + " }"
+
+    def body(node: PatternNode) -> str:
+        if isinstance(node, Bgp):
+            return " ".join(f"{show(tp.s)} {show(tp.p)} {show(tp.o)} ." for tp in node.patterns)
+        if isinstance(node, Join):
+            return f"{group(node.left)} {group(node.right)}"
+        if isinstance(node, Union):
+            return f"{group(node.left)} UNION {group(node.right)}"
+        if isinstance(node, LeftJoin):
+            # A group's FILTER applies to the whole group, OPTIONAL included.
+            left = group(node.left) if isinstance(node.left, Filter) else body(node.left)
+            return f"{left} OPTIONAL {group(node.right)}"
+        return f"{body(node.inner)} FILTER ({node.expr})"
+
+    head = "SELECT DISTINCT" if query.distinct else "SELECT"
+    return f"{head} {' '.join(map(str, query.projection))} WHERE {group(query.root)}"
