@@ -1,9 +1,10 @@
-"""Compressed 2D bit matrices and the primitives that drive query evaluation.
+"""2D bit matrices and the primitives that drive query evaluation.
 
-Each matrix row is kept in a hybrid encoding: alternating run lengths
-("[1] 3 2 4 1" for 1110011110) or the list of set-bit positions ("3 6" for
-0010010000), whichever needs fewer integers. Positions win ties only when
-strictly smaller. All positions and row indexes are 1-based.
+A matrix row is a Python ``int``: bit p-1 is position p, and a matrix
+keeps only its non-zero rows. Folds, masks, semi-joins and products are
+then int operations. The store's files hold rows in a compressed encoding;
+``store`` alone reads and writes it. All positions and row indexes are
+1-based.
 
 Row and column dimensions are tagged with the coordinate space they range
 over (subject, object, or the 1-wide unit space of a sliced-out row).
@@ -13,9 +14,12 @@ sides; masks crossing the two spaces only intersect inside that range.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Sequence
+from functools import reduce
+from itertools import compress
+from operator import or_
+from typing import Collection, Iterable, Iterator
 
 S = "S"
 O = "O"
@@ -27,142 +31,49 @@ class DimensionMismatchError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Row compression
+# Rows as ints
 
 
-@dataclass(frozen=True, slots=True)
-class CompressedRow:
-    """One matrix row. ``tag`` is ``"rle"`` or ``"pos"``.
-
-    For ``rle`` the payload holds run lengths of alternating bits starting
-    with ``start_bit``; for ``pos`` it holds strictly increasing 1-based set
-    positions and ``start_bit`` is unused (kept 0).
-    """
-
-    tag: str
-    start_bit: int
-    payload: tuple[int, ...]
-
-    def __str__(self) -> str:
-        if self.tag == "rle":
-            return f"[{self.start_bit}] " + " ".join(str(n) for n in self.payload)
-        return " ".join(str(n) for n in self.payload)
+def row_from_positions(ones: Collection[int]) -> int:
+    """The row whose set positions are ``ones`` (distinct, 1-based, in any
+    order). Few positions are summed as bits; many are written into a
+    string of binary digits that is parsed once, since a sum rebuilds a
+    wide int per position."""
+    if len(ones) < 64:
+        return sum(map((1).__lshift__, ones)) >> 1
+    digits = bytearray(b"0") * max(ones)
+    for pos in ones:
+        digits[-pos] = 49  # b"1"; the last digit is position 1
+    return int(digits, 2)
 
 
-def row_positions(row: CompressedRow) -> Iterator[int]:
-    """Set-bit positions without materializing the dense row."""
-    if row.tag == "pos":
-        yield from row.payload
-        return
-    at = 1
-    bit = row.start_bit
-    for length in row.payload:
-        if bit:
-            yield from range(at, at + length)
-        at += length
-        bit ^= 1
-
-
-def row_test(row: CompressedRow, pos: int) -> bool:
-    """Whether bit ``pos`` is set, without decoding the row. A position
-    outside 1..width is never set."""
-    if row.tag == "pos":
-        at = bisect_left(row.payload, pos)
-        return at < len(row.payload) and row.payload[at] == pos
-    return runs_test(row.start_bit, row.payload, pos)
-
-
-def runs_test(start_bit: int, runs: Sequence[int], pos: int) -> bool:
-    """Whether bit ``pos`` is set in the run lengths ``runs`` whose first
-    run holds ``start_bit``. A position outside 1..width is never set."""
-    if pos < 1:
-        return False
-    end = 0
-    bit = start_bit
-    for length in runs:
-        end += length
-        if pos <= end:
-            return bool(bit)
-        bit ^= 1
-    return False
-
-
-def row_mask(row: CompressedRow) -> int:
-    if row.tag == "pos":
-        mask = 0
-        for pos in row.payload:
-            mask |= 1 << (pos - 1)
-        return mask
-    mask = 0
-    at = 0
-    bit = row.start_bit
-    for length in row.payload:
-        if bit:
-            mask |= ((1 << length) - 1) << at
-        at += length
-        bit ^= 1
+def row_from_mask(mask: int, width: int) -> int:
+    """``mask`` as a row of ``width`` positions, checked: the constructor of
+    a row that a mask rewrote or a product built."""
+    if mask < 0 or mask >> width:
+        raise DimensionMismatchError("mask has bits beyond the row width")
     return mask
 
 
-def row_from_mask(mask: int, width: int) -> CompressedRow:
-    if mask < 0 or mask >> width:
-        raise DimensionMismatchError("mask has bits beyond the row width")
-    # Walk runs via bit scanning; avoids per-bit work on long runs.
-    runs = []
-    at = 0
-    bit = mask & 1
-    start_bit = bit
-    current = bit
-    while at < width:
-        if current:
-            chunk = (~mask) >> at
-        else:
-            chunk = mask >> at
-        step = (chunk & -chunk).bit_length() - 1 if chunk else width - at
-        step = min(step, width - at)
-        runs.append(step)
-        at += step
-        current ^= 1
-    popcount = mask.bit_count()
-    if popcount < len(runs):
-        return CompressedRow("pos", 0, tuple(_iter_mask(mask)))
-    return CompressedRow("rle", start_bit, tuple(runs))
+_BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def row_from_positions(positions: Sequence[int], width: int) -> CompressedRow:
-    """Same row as ``row_from_mask`` for the mask of ``positions`` (strictly
-    increasing, 1-based), built from the runs of consecutive positions
-    without a big-int mask."""
-    if positions and (positions[0] < 1 or positions[-1] > width):
-        raise DimensionMismatchError("position outside the row width")
-    if len(positions) == 1 < width:  # one set bit takes two or three runs
-        return CompressedRow("pos", 0, tuple(positions))
-    runs = []
-    end = 0  # positions 1..end are covered by ``runs`` and ``ones``
-    ones = 0
-    for pos in positions:
-        if pos > end + 1:
-            if ones:
-                runs.append(ones)
-            runs.append(pos - end - 1)
-            ones = 0
-        ones += 1
-        end = pos
-    if ones:
-        runs.append(ones)
-    if end < width:
-        runs.append(width - end)
-    if len(positions) < len(runs):
-        return CompressedRow("pos", 0, tuple(positions))
-    start_bit = 1 if positions and positions[0] == 1 else 0
-    return CompressedRow("rle", start_bit, tuple(runs))
-
-
-def _iter_mask(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length()
-        mask ^= low
+def positions(mask: int) -> list[int]:
+    """The set positions of ``mask``, ascending. A mask with few bits, or
+    with fewer than one bit in six set, is walked from its highest bit; a
+    denser one has its binary digits selected, since each step of the walk
+    copies the remaining int."""
+    count = mask.bit_count()
+    if count < 32 or 6 * count < mask.bit_length():
+        out = []
+        while mask:  # from the top: clearing it shortens the int
+            pos = mask.bit_length()
+            out.append(pos)
+            mask ^= 1 << (pos - 1)
+        out.reverse()
+        return out
+    digits = bin(mask)[:1:-1]  # digit i is position i + 1
+    return list(compress(range(1, len(digits) + 1), digits.encode().translate(_BINARY_DIGITS)))
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +92,8 @@ class BitArray:
     def count(self) -> int:
         return self.mask.bit_count()
 
-    def positions(self) -> Iterator[int]:
-        return _iter_mask(self.mask)
+    def positions(self) -> list[int]:
+        return positions(self.mask)
 
     def __bool__(self) -> bool:
         return self.mask != 0
@@ -220,8 +131,8 @@ class BitMat:
     """2D bit matrix over one predicate (S-O/O-S) or derived from one (a
     single row or column, a product, a per-query working copy).
 
-    ``rows`` holds only non-empty rows. Metadata (triple count, non-empty
-    row/column masks) is kept in sync by every mutating operation.
+    ``rows`` maps a row index to its non-zero row. The triple count is
+    kept in sync by every mutating operation.
     """
 
     kind: str  # "SO" | "OS" | derived tags ("ROW", "BMM", ...)
@@ -230,7 +141,7 @@ class BitMat:
     col_space: str
     n_rows: int
     n_cols: int
-    rows: dict[int, CompressedRow] = field(default_factory=dict)
+    rows: dict[int, int] = field(default_factory=dict)
     triple_count: int = 0
 
     def __post_init__(self):
@@ -240,56 +151,40 @@ class BitMat:
     # -- metadata -----------------------------------------------------------
 
     def refresh_meta(self) -> None:
-        self.triple_count = sum(
-            row.payload.__len__() if row.tag == "pos" else row_mask(row).bit_count()
-            for row in self.rows.values()
-        )
+        self.triple_count = sum(map(int.bit_count, self.rows.values()))
 
     @property
     def nonempty_rows(self) -> BitArray:
-        mask = 0
-        for r in self.rows:
-            mask |= 1 << (r - 1)
-        return BitArray(self.row_space, self.n_rows, mask)
+        return BitArray(self.row_space, self.n_rows, row_from_positions(self.rows))
 
     @property
     def nonempty_cols(self) -> BitArray:
-        mask = 0
-        for row in self.rows.values():
-            mask |= row_mask(row)
-        return BitArray(self.col_space, self.n_cols, mask)
-
-    def row_bits(self, idx: int) -> int:
-        row = self.rows.get(idx)
-        return row_mask(row) if row is not None else 0
+        return BitArray(self.col_space, self.n_cols, reduce(or_, self.rows.values(), 0))
 
     def mask_row(self, idx: int, keep: int) -> None:
-        """Clear the bits of row ``idx`` that are 0 in ``keep``. The row is
-        decoded once, and re-encoded only when it loses a bit."""
+        """Clear the bits of row ``idx`` that are 0 in ``keep``."""
         row = self.rows.get(idx)
         if row is None:
             return
-        old = row_mask(row)
-        new = old & keep
-        if new == old:
-            return
-        if new:
-            self.rows[idx] = row_from_mask(new, self.n_cols)
-        else:
-            del self.rows[idx]
-        self.triple_count -= old.bit_count() - new.bit_count()
+        new = row & keep
+        if new != row:
+            if new:
+                self.rows[idx] = row_from_mask(new, self.n_cols)
+            else:
+                del self.rows[idx]
+            self.triple_count -= row.bit_count() - new.bit_count()
 
     def cells(self) -> Iterator[tuple[int, int]]:
         for r in sorted(self.rows):
-            for c in row_positions(self.rows[r]):
+            for c in positions(self.rows[r]):
                 yield (r, c)
 
     def copy(self) -> "BitMat":
         return replace(self, rows=dict(self.rows))
 
     def test(self, r: int, c: int) -> bool:
-        row = self.rows.get(r)
-        return row is not None and row_test(row, c)
+        """Whether cell (r, c) is set; a column outside 1..n_cols never is."""
+        return c >= 1 and bool(self.rows.get(r, 0) >> (c - 1) & 1)
 
 
 def bitmat_from_cells(
@@ -301,20 +196,14 @@ def bitmat_from_cells(
     n_cols: int,
     cells: Iterable[tuple[int, int]],
 ) -> BitMat:
-    positions: dict[int, list[int]] = {}
+    by_row: defaultdict[int, set[int]] = defaultdict(set)
     for r, c in cells:
         if not (1 <= r <= n_rows and 1 <= c <= n_cols):
             raise DimensionMismatchError(f"cell ({r},{c}) outside {n_rows}x{n_cols}")
-        row = positions.get(r)
-        if row is None:
-            positions[r] = [c]
-        else:
-            row.append(c)
+        by_row[r].add(c)
     bm = BitMat(kind, slice_key, row_space, col_space, n_rows, n_cols)
-    for r, cols in positions.items():
-        cols = sorted(set(cols))
-        bm.rows[r] = row_from_positions(cols, n_cols)
-        bm.triple_count += len(cols)
+    bm.rows = {r: row_from_positions(cols) for r, cols in by_row.items()}
+    bm.triple_count = sum(map(len, by_row.values()))
     return bm
 
 
@@ -336,7 +225,7 @@ def unfold(bm: BitMat, mask: BitArray, retain: str, so_count: int) -> None:
     if retain == ROW_DIM:
         keep = align_mask(mask, bm.row_space, bm.n_rows, so_count)
         for r in [r for r in bm.rows if not keep >> (r - 1) & 1]:
-            bm.mask_row(r, 0)
+            bm.triple_count -= bm.rows.pop(r).bit_count()
     elif retain == COL_DIM:
         keep = align_mask(mask, bm.col_space, bm.n_cols, so_count)
         for r in list(bm.rows):
@@ -346,21 +235,17 @@ def unfold(bm: BitMat, mask: BitArray, retain: str, so_count: int) -> None:
 
 
 def transpose(bm: BitMat) -> BitMat:
-    """The rows are read in ascending order, so each column's list of row
-    indexes comes out sorted and distinct, ready to encode."""
+    """Each column's row indexes are gathered, then built into a row once."""
     kind = {"SO": "OS", "OS": "SO"}.get(bm.kind, bm.kind + "T")
-    cols: dict[int, list[int]] = {}
-    for r in sorted(bm.rows):
-        row = bm.rows[r]
-        for c in row.payload if row.tag == "pos" else row_positions(row):
-            col = cols.get(c)
-            if col is None:
-                cols[c] = [r]
-            else:
-                col.append(r)
+    cols: defaultdict[int, list[int]] = defaultdict(list)
+    for r, row in bm.rows.items():
+        if row & (row - 1):
+            for c in positions(row):
+                cols[c].append(r)
+        else:  # one bit, as in most rows of most S-O matrices
+            cols[row.bit_length()].append(r)
     out = BitMat(kind, bm.slice_key, bm.col_space, bm.row_space, bm.n_cols, bm.n_rows)
-    for c, rows in cols.items():
-        out.rows[c] = row_from_positions(rows, bm.n_rows)
+    out.rows = {c: 1 << (rows[0] - 1) if len(rows) == 1 else row_from_positions(rows) for c, rows in cols.items()}
     out.triple_count = bm.triple_count
     return out
 
@@ -376,20 +261,19 @@ def bmm(left: BitMat, right: BitMat, so_count: int) -> BitMat:
             raise DimensionMismatchError(
                 f"inner dimensions differ: {left.n_cols} vs {right.n_rows}"
             )
-        limit = None
+        shared = -1  # every bit
     elif {left.col_space, right.row_space} == {S, O}:
-        limit = so_count
+        shared = (1 << so_count) - 1
     else:
         raise DimensionMismatchError(
             f"cannot multiply {left.col_space} columns into {right.row_space} rows"
         )
     out = BitMat("BMM", 0, left.row_space, right.col_space, left.n_rows, right.n_cols)
-    for i in sorted(left.rows):
+    rows = right.rows
+    for i, row in left.rows.items():
         acc = 0
-        for j in row_positions(left.rows[i]):
-            if limit is not None and j > limit:
-                break  # positions ascend; nothing above the shared range joins
-            acc |= right.row_bits(j)
+        for j in positions(row & shared):
+            acc |= rows.get(j, 0)
         if acc:
             out.rows[i] = row_from_mask(acc, out.n_cols)
     out.refresh_meta()

@@ -346,7 +346,7 @@ def distinct_eval(
     where both apply."""
     config = config or RunConfig()
     if force_naive or not config.prune or any(isinstance(n, (Union, Filter)) for n in iter_nodes(query.root)):
-        return _naive(query, run_query(query, store, config))
+        return _naive(query, run_query(query, store, config, keep_keys=True))
     plan = plan_query(query, store, config)
     eligible = _bmm_eligible(query, plan)
     if eligible is not None:
@@ -364,7 +364,10 @@ def distinct_eval(
 
 
 def _naive(query: Query, result: EngineResult) -> DistinctOutcome:
-    return DistinctOutcome(best_match(result.relation.project(query.projection)), "naive", result)
+    """Project the engine's rows of join keys, dedup them with subsumption
+    and turn the rows kept into terms."""
+    kept = best_match(result.keys.project(query.projection))
+    return DistinctOutcome(term_relation(kept, result.store), "naive", result)
 
 
 def _evaluate_mcs(mcs: Mcs, gosn: Gosn, store: TripleStore, query: Query) -> Relation:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterator, NamedTuple, Sequence
 
 from .algebra import (
@@ -63,8 +64,8 @@ class RunConfig:
 @dataclass
 class Relation:
     """Bag of rows over a fixed variable header; NULL is None. A row's cells
-    are terms, or join keys (``Dictionary.key``) until ``execute`` and the
-    DISTINCT paths turn the rows they keep into terms."""
+    are terms, or join keys (``Dictionary.key``) until the rows a caller
+    keeps are turned into terms."""
 
     header: tuple[Variable, ...]
     rows: list[tuple] = field(default_factory=list)
@@ -385,10 +386,18 @@ class Plan:
 
 @dataclass
 class EngineResult(Plan):
-    """An executed plan: its rows and whether best-match ran on them."""
+    """An executed plan: its rows and whether best-match ran on them.
 
-    relation: Relation  # full rows over all query variables
+    ``keys`` holds the rows as join keys; ``relation`` holds the same rows
+    as terms, built on first read. A caller that keeps only some rows (the
+    naive DISTINCT path) reads ``keys`` and builds terms for those alone."""
+
+    keys: Relation  # full rows over all query variables
     best_match_applied: bool
+
+    @cached_property
+    def relation(self) -> Relation:
+        return term_relation(self.keys, self.store)
 
 
 def union_free_components(node: PatternNode) -> list[PatternNode]:
@@ -488,10 +497,10 @@ def term_relation(relation: Relation, store: TripleStore) -> Relation:
 
 
 def execute(plan: Plan) -> EngineResult:
-    """Run each disjunct's pipelined join, union all rows, apply best-match
-    when a disjunct nullified something or the slave-side union rewrite was
-    used, then turn the rows kept into terms. Until then a row is join
-    keys: best-match compares keys, which name S/O terms one to one."""
+    """Run each disjunct's pipelined join, union all rows and apply
+    best-match when a disjunct nullified something or the slave-side union
+    rewrite was used. Best-match compares join keys, which name S/O terms
+    one to one; the result turns its rows into terms when they are read."""
     relation = Relation(plan.header)
     for trace in plan.disjuncts:
         join = MultiWayJoin(trace.gosn, trace.matrices, trace.stps, plan.store, trace.nulreqd, trace.residual)
@@ -503,12 +512,19 @@ def execute(plan: Plan) -> EngineResult:
         apply_bm = plan.config.best_match == "on"
     if apply_bm:
         relation = best_match(relation)
-    return EngineResult(**vars(plan), relation=term_relation(relation, plan.store), best_match_applied=apply_bm)
+    return EngineResult(**vars(plan), keys=relation, best_match_applied=apply_bm)
 
 
-def run_query(query: Query, store: TripleStore, config: "RunConfig | None" = None) -> EngineResult:
-    """Evaluate one query: ``execute(plan_query(...))``."""
-    return execute(plan_query(query, store, config))
+def run_query(
+    query: Query, store: TripleStore, config: "RunConfig | None" = None, *, keep_keys: bool = False
+) -> EngineResult:
+    """Evaluate one query: ``execute(plan_query(...))``. The rows are turned
+    into terms before it returns, unless ``keep_keys``: a caller that keeps
+    only some rows (the naive DISTINCT path) builds terms for those alone."""
+    result = execute(plan_query(query, store, config))
+    if not keep_keys:
+        result.relation  # built here, as part of the query's work
+    return result
 
 
 def _labels(bgp: Bgp) -> str:

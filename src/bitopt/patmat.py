@@ -84,11 +84,8 @@ class PatternMatrix:
                 if bm.test(ridx, c):
                     yield ridx, c
                 continue
-            mask = bm.row_bits(ridx)
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                yield ridx, low.bit_length()
+            for cidx in bitmat.positions(bm.rows.get(ridx, 0)):
+                yield ridx, cidx
 
 
 def select_pattern_matrix(

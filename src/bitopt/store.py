@@ -10,11 +10,13 @@ The S-O matrix of each predicate is the only copy of the triples, in memory
 and on disk. In memory it is the bytes of its file, read once, by ``open``
 or from the encoder; the predicate's first use views them as words and
 builds a row-offset table, which is never stored. A read decodes only the
-rows it returns. The row read of a pattern with a constant subject,
-``(:s :p ?o)``, decodes row s; the column read of a pattern with a
-constant object, ``(?s :p :o)``, searches the file's bytes for o's word. A
-masked read of a two-variable pattern returns only the rows its mask keeps:
-S-O rows decoded one by one, or O-S rows built as column reads. A whole
+rows it returns, each into an ``int`` (see ``bitmat``); the run-length and
+position encoding of a row in a file is known to this module only. The
+row read of a pattern with a constant subject, ``(:s :p ?o)``, decodes
+row s; the column read of a pattern with a constant object,
+``(?s :p :o)``, searches the file's bytes for o's word. A masked read of a
+two-variable pattern returns only the rows its mask keeps: S-O rows
+decoded one by one, or O-S rows built as column reads. A whole
 matrix, and its O-S transpose, is decoded and cached only for an unmasked
 read, or for a masked O-S read whose columns would cost more to read one
 by one.
@@ -52,11 +54,10 @@ from . import bitmat
 from .bitmat import (
     BitArray,
     BitMat,
-    CompressedRow,
+    DimensionMismatchError,
     align_mask,
     row_from_mask,  # unused here; the benchmark counts its calls under this name
     row_from_positions,
-    runs_test,
 )
 from .ntriples import parse_ntriples
 from .terms import Iri, Literal, Term, term_sort_key, unescape
@@ -305,7 +306,11 @@ class TripleStore:
 
     @property
     def triple_count(self) -> int:
-        return sum(self._matrix(pid).count for pid in range(1, self.dictionary.n_p + 1))
+        """The sum of the matrix headers' triple counts, read without a walk
+        of the rows: the encoder wrote them, or ``open`` read them from files
+        whose header it checked. A predicate's first use checks its count
+        against its rows."""
+        return sum(struct.unpack_from("<I", data, 16)[0] for _, data in self._data.values())
 
     def term_triples(self) -> list[tuple[Term, Term, Term]]:
         d = self.dictionary
@@ -520,9 +525,36 @@ def _parse_rendered_term(rendered: str) -> Term:
     return Literal(int(rendered))
 
 
-def _encode_rowlike(row: CompressedRow) -> list[int]:
-    tag = 2 if row.tag == "pos" else row.start_bit
-    return [tag, len(row.payload), *row.payload]
+def _row_words(ones: list[int], width: int) -> list[int]:
+    """The file words of the row of ``width`` bits whose set positions are
+    ``ones`` (strictly increasing, 1-based): its tag, payload length and
+    payload. The payload is the row's run lengths, alternating from the bit
+    of position 1 (tag 0 or 1: that bit), or its set positions (tag 2),
+    whichever holds fewer words; positions win only when strictly fewer. So
+    1110011110 is the runs 3 2 4 1 with tag 1, and 0010010000 the positions
+    3 6."""
+    if ones and (ones[0] < 1 or ones[-1] > width):
+        raise DimensionMismatchError("position outside the row width")
+    if len(ones) == 1 < width:  # one set bit takes two or three runs
+        return [2, 1, ones[0]]
+    runs = []
+    end = 0  # positions 1..end are covered by ``runs`` and ``set_run``
+    set_run = 0
+    for pos in ones:
+        if pos > end + 1:
+            if set_run:
+                runs.append(set_run)
+            runs.append(pos - end - 1)
+            set_run = 0
+        set_run += 1
+        end = pos
+    if set_run:
+        runs.append(set_run)
+    if end < width:
+        runs.append(width - end)
+    if len(ones) < len(runs):
+        return [2, len(ones), *ones]
+    return [1 if ones and ones[0] == 1 else 0, len(runs), *runs]
 
 
 def _encode_matrix(pid: int, rows: dict[int, list[int]], n_rows: int, n_cols: int) -> bytes:
@@ -538,10 +570,10 @@ def _encode_matrix(pid: int, rows: dict[int, list[int]], n_rows: int, n_cols: in
         cols.update(oids)
         count += len(oids)
         body.append(sid)
-        body += _encode_rowlike(row_from_positions(oids, n_cols))
+        body += _row_words(oids, n_cols)
     words = [SO_KIND_CODE, pid, n_rows, n_cols, count]
-    words += _encode_rowlike(row_from_positions(sorted(rows), max(n_rows, 1)))
-    words += _encode_rowlike(row_from_positions(sorted(cols), max(n_cols, 1)))
+    words += _row_words(sorted(rows), max(n_rows, 1))
+    words += _row_words(sorted(cols), max(n_cols, 1))
     words.append(len(rows))
     words += body
     return struct.pack(f"<{len(words)}I", *words)
@@ -609,8 +641,8 @@ class _MatrixWords:
             words.byteswap()
         self.words = words
         self.n_rows, self.n_cols, self.count = n_rows, n_cols, count = words[2:5]
-        self._rows: dict[int, CompressedRow] = {}  # row index -> row, once decoded
-        self._cols: dict[int, "CompressedRow | None"] = {}  # column -> its rows, once read
+        self._rows: dict[int, int] = {}  # row index -> row, once decoded
+        self._cols: dict[int, "int | None"] = {}  # column -> its rows, once read
         self.offsets: list[int] = []  # word offset of each stored row's tag word
         self.rle: list[int] = []  # places in ``offsets`` of the run-length rows
         offsets, rle = self.offsets, self.rle
@@ -662,7 +694,7 @@ class _MatrixWords:
     def _corrupt(self, why: str) -> StoreError:
         return StoreError(f"{self.path}: corrupt S-O matrix ({why})")
 
-    def row(self, place: int) -> CompressedRow:
+    def row(self, place: int) -> int:
         """The stored row at ``place`` in ``ids``, decoded and checked once."""
         row = self._rows.get(self.ids[place])
         if row is not None:
@@ -670,7 +702,7 @@ class _MatrixWords:
         words = self.words
         at = self.offsets[place]
         tag, length = words[at], words[at + 1]
-        payload = tuple(words[at + 2 : at + 2 + length])
+        payload = words[at + 2 : at + 2 + length]
         if tag == 2:
             prev = 0  # the positions must increase from 1 to at most n_cols
             for pos in payload:
@@ -680,13 +712,17 @@ class _MatrixWords:
                 prev = pos
             if prev > self.n_cols:
                 raise self._corrupt(f"row {self.ids[place]} does not fit {self.n_rows}x{self.n_cols}")
-            row = CompressedRow("pos", 0, payload)
-        else:
-            row = CompressedRow("rle", tag, payload)
+            row = row_from_positions(payload)
+        else:  # one block of ones per set run: few runs, as in every LUBM run-length row
+            row, end = 0, 0
+            for i, length in enumerate(payload):
+                if (i & 1) ^ tag:
+                    row += ((1 << length) - 1) << end
+                end += length
         self._rows[self.ids[place]] = row
         return row
 
-    def row_of(self, idx: int) -> "CompressedRow | None":
+    def row_of(self, idx: int) -> "int | None":
         """Row ``idx``, or None when it is empty or outside 1..n_rows."""
         row = self._rows.get(idx)
         if row is None:
@@ -695,7 +731,7 @@ class _MatrixWords:
                 row = self.row(place)
         return row
 
-    def rows_in(self, mask: BitArray) -> dict[int, CompressedRow]:
+    def rows_in(self, mask: BitArray) -> dict[int, int]:
         """The stored rows whose bit is set in ``mask``, by index.
 
         Walks the mask's bits or the stored rows, whichever are fewer. On the
@@ -707,7 +743,7 @@ class _MatrixWords:
         keep, rows = mask.mask, self._rows
         return {idx: rows.get(idx) or self.row(place) for place, idx in enumerate(self.ids) if keep >> (idx - 1) & 1}
 
-    def column(self, col: int) -> "CompressedRow | None":
+    def column(self, col: int) -> "int | None":
         """Column ``col`` as a row over the row indexes, read once; None when
         it is empty or outside 1..n_cols. Every row found is decoded, so its
         positions are checked."""
@@ -718,7 +754,7 @@ class _MatrixWords:
         places = sorted(self._column_places(col)) if self.ids and 1 <= col <= self.n_cols else []
         for place in places:
             self.row(place)
-        row = self._cols[col] = row_from_positions([self.ids[p] for p in places], self.n_rows) if places else None
+        row = self._cols[col] = row_from_positions([self.ids[p] for p in places]) if places else None
         return row
 
     def columns_cheaper(self, mask: BitArray) -> bool:
@@ -735,7 +771,7 @@ class _MatrixWords:
                     return False
         return True
 
-    def columns_in(self, mask: BitArray) -> dict[int, CompressedRow]:
+    def columns_in(self, mask: BitArray) -> dict[int, int]:
         """The non-empty columns whose bit is set in ``mask``, by index."""
         return {col: row for col in mask.positions() if (row := self.column(col)) is not None}
 
@@ -782,7 +818,7 @@ class _MatrixWords:
                 at = data.find(needle, resume)
         for place in self.rle:
             at = offsets[place]
-            if runs_test(words[at], words[at + 2 : at + 2 + words[at + 1]], col):
+            if _runs_test(words[at], words[at + 2 : at + 2 + words[at + 1]], col):
                 places.append(place)
         return places
 
@@ -792,3 +828,18 @@ class _MatrixWords:
         bm.rows = {idx: self.row(place) for place, idx in enumerate(self.ids)}
         bm.triple_count = self.count
         return bm
+
+
+def _runs_test(start_bit: int, runs, pos: int) -> bool:
+    """Whether bit ``pos`` is set in the run lengths ``runs`` whose first
+    run holds ``start_bit``. A position outside 1..width is never set."""
+    if pos < 1:
+        return False
+    end = 0
+    bit = start_bit
+    for length in runs:
+        end += length
+        if pos <= end:
+            return bool(bit)
+        bit ^= 1
+    return False

@@ -1,6 +1,8 @@
-"""Row compression and the fold/unfold/transpose/product primitives, checked
-against dense-matrix brute force."""
+"""Row encoding in store files, rows as ints, and the
+fold/unfold/transpose/product primitives, checked against dense-matrix
+brute force."""
 
+import itertools
 import random
 
 import numpy as np
@@ -12,88 +14,115 @@ from bitopt import bitmat
 from bitopt.bitmat import (
     BitArray,
     BitMat,
-    CompressedRow,
     DimensionMismatchError,
     bitmat_from_cells,
     bmm,
     fold,
-    row_from_mask,
+    positions,
     row_from_positions,
-    row_mask,
-    row_positions,
-    row_test,
     transpose,
     unfold,
 )
+from bitopt.store import Dictionary, _encode_matrix, _MatrixWords, _row_words, _runs_test
+
+
+def ones_of(bits):
+    """The set positions of a bit string or list: item i is position i + 1."""
+    return [i for i, b in enumerate(bits, start=1) if b in (1, "1")]
 
 
 def encode(bits):
-    """The row of a bit string or list: item i is bit i of the mask."""
-    return row_from_mask(sum(1 << i for i, b in enumerate(bits) if b in (1, "1")), len(bits))
+    """The file words of the row of ``bits``: tag, payload length, payload."""
+    return _row_words(ones_of(bits), len(bits))
+
+
+def render(words):
+    """A row's file words as the paper writes the row: "[1] 3 2 4 1" for
+    run lengths whose first run is set, "3 6" for set positions."""
+    tag, _, *payload = words
+    text = " ".join(map(str, payload))
+    return text if tag == 2 else f"[{tag}] {text}"
+
+
+def stored_row(bits):
+    """A one-row matrix file holding ``bits`` as row 1, read back: its
+    words and the row decoded from them (0 when empty)."""
+    ones = ones_of(bits)
+    data = _encode_matrix(1, {1: ones} if ones else {}, 1, len(bits))
+    words = _MatrixWords("row.bin", data, Dictionary(b"", 1, len(bits), 0, 1))
+    return words, words.row_of(1) or 0
+
+
+def reference_words(bits):
+    """The hybrid rule stated directly: run lengths of the bits, or the set
+    positions when those are strictly fewer."""
+    bits = [int(b) for b in bits]
+    runs = [len(list(group)) for _, group in itertools.groupby(bits)]
+    ones = ones_of(bits)
+    if len(ones) < len(runs):
+        return [2, len(ones), *ones]
+    return [bits[0], len(runs), *runs]
 
 
 class TestRowEncoding:
+    """The store's file encoding of a row."""
+
     def test_run_length_worked_example(self):
-        row = encode("1110011110")
-        assert row.tag == "rle"
-        assert row.start_bit == 1
-        assert row.payload == (3, 2, 4, 1)
-        assert str(row) == "[1] 3 2 4 1"
+        words = encode("1110011110")
+        assert words == [1, 4, 3, 2, 4, 1]
+        assert render(words) == "[1] 3 2 4 1"
 
     def test_set_positions_worked_example(self):
-        row = encode("0010010000")
-        assert row.tag == "pos"
-        assert row.payload == (3, 6)
-        assert str(row) == "3 6"
+        words = encode("0010010000")
+        assert words == [2, 2, 3, 6]
+        assert render(words) == "3 6"
 
     def test_all_zero_row_uses_empty_positions(self):
-        row = encode("00000")
-        assert row.tag == "pos"
-        assert row.payload == ()
+        assert encode("00000") == [2, 0]
 
     def test_all_ones_row_stays_run_length(self):
-        row = encode("11111")
-        assert row == CompressedRow("rle", 1, (5,))
+        assert encode("11111") == [1, 1, 5]
 
     def test_hybrid_rule_is_strict(self):
         # One set bit, one run integer: positions need strictly fewer.
-        assert encode("1").tag == "rle"
-        assert encode("10").tag == "pos"
+        assert encode("1")[0] == 1
+        assert encode("10")[0] == 2
 
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=1024))
     @settings(max_examples=300)
     def test_round_trip(self, bits):
-        row = encode(bits)
-        assert list(row_positions(row)) == [i for i, b in enumerate(bits, start=1) if b]
+        _, row = stored_row(bits)
+        assert row == sum(b << i for i, b in enumerate(bits))
+        assert positions(row) == ones_of(bits)
 
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=256))
     def test_hybrid_choice_matches_counts(self, bits):
-        row = encode(bits)
-        popcount = sum(bits)
-        runs = 1 + sum(1 for a, b in zip(bits, bits[1:]) if a != b)
-        if popcount < runs:
-            assert row.tag == "pos"
-        else:
-            assert row.tag == "rle"
+        assert encode(bits) == reference_words(bits)
 
     @given(st.integers(1, 200), st.integers(0, 2**64))
     def test_mask_round_trip(self, width, seed):
         mask = seed & ((1 << width) - 1)
-        row = row_from_mask(mask, width)
-        assert row_mask(row) == mask
-        assert list(row_positions(row)) == [i + 1 for i in range(width) if mask >> i & 1]
+        bits = [mask >> i & 1 for i in range(width)]
+        assert stored_row(bits)[1] == mask
+        assert positions(mask) == ones_of(bits)
 
 
 class TestRowFromPositions:
-    """``row_from_positions`` must build exactly the row ``row_from_mask``
-    builds for the same bits."""
+    """``row_from_positions`` builds the int of its positions, in any order,
+    and ``positions`` gives them back; the file words of those positions
+    follow the hybrid rule."""
 
     @staticmethod
-    def _check(positions, width):
+    def _check(ones, width):
         mask = 0
-        for pos in positions:
+        for pos in ones:
             mask |= 1 << (pos - 1)
-        assert row_from_positions(positions, width) == row_from_mask(mask, width)
+        assert row_from_positions(ones) == mask
+        assert row_from_positions(ones[::-1]) == mask
+        assert positions(mask) == ones
+        bits = [mask >> i & 1 for i in range(width)]
+        assert _row_words(ones, width) == reference_words(bits)
+        assert stored_row(bits)[1] == mask
 
     def test_random_rows(self):
         rng = random.Random(7)
@@ -101,6 +130,14 @@ class TestRowFromPositions:
             width = rng.randint(1, 130)
             density = rng.random()
             self._check([p for p in range(1, width + 1) if rng.random() < density], width)
+
+    def test_wide_rows_of_every_density(self):
+        # Rows walked bit by bit and rows selected from their digits, built
+        # by sums and from digits.
+        rng = random.Random(8)
+        for width in (70, 700, 7000):
+            for density in (0.001, 0.01, 0.05, 0.2, 0.6, 1.0):
+                self._check([p for p in range(1, width + 1) if rng.random() < density], width)
 
     @pytest.mark.parametrize(
         "positions,width",
@@ -123,7 +160,7 @@ class TestRowFromPositions:
 
     def test_position_past_width_rejected(self):
         with pytest.raises(DimensionMismatchError):
-            row_from_positions([3], 2)
+            _row_words([3], 2)
 
 
 def random_bitmat(rng, rows, cols, density=0.3, row_space=bitmat.S, col_space=bitmat.O):
@@ -144,20 +181,35 @@ def dense(bm):
 
 
 class TestRowTest:
+    """A bit test, on an in-memory row, on a run-length row's file words
+    and as a column read of the file."""
+
     @pytest.mark.parametrize("bits", ["1" * 15 + "0" * 25, "0" * 39 + "1", "0100000001"], ids=str)
     def test_matches_positions(self, bits):
-        row = encode(bits)
-        assert [p for p in range(1, len(bits) + 1) if row_test(row, p)] == list(row_positions(row))
+        words, row = stored_row(bits)
+        bm = BitMat("ROW", 0, bitmat.UNIT, bitmat.O, 1, len(bits), {1: row})
+        ones = ones_of(bits)
+        assert [p for p in range(1, len(bits) + 1) if bm.test(1, p)] == ones
+        assert [p for p in range(1, len(bits) + 1) if words.column(p) is not None] == ones
+        tag, _, *payload = encode(bits)
+        if tag != 2:
+            assert [p for p in range(1, len(bits) + 1) if _runs_test(tag, payload, p)] == ones
 
-    @pytest.mark.parametrize("tag", ["rle", "pos"])
+    @pytest.mark.parametrize("tag", [1, 2], ids=["rle", "pos"])
     def test_position_outside_the_width_is_never_set(self, tag):
         # Each row has its first and last bit set: a run-length row starting
         # with a set run, and a position row holding 1 and the width.
-        row = row_from_mask(0x7FFF | 1 << 39, 40) if tag == "rle" else row_from_positions([1, 40], 40)
-        assert row.tag == tag
-        assert row_test(row, 1) and row_test(row, 40)
+        bits = "1" * 15 + "0" * 24 + "1" if tag == 1 else "1" + "0" * 38 + "1"
+        assert encode(bits)[0] == tag
+        words, row = stored_row(bits)
+        bm = BitMat("ROW", 0, bitmat.UNIT, bitmat.O, 1, 40, {1: row})
+        assert bm.test(1, 1) and bm.test(1, 40)
+        assert words.column(1) == words.column(40) == 1
         for pos in (0, -3, 41):
-            assert not row_test(row, pos)
+            assert not bm.test(1, pos)
+            assert words.column(pos) is None
+            if tag == 1:
+                assert not _runs_test(tag, encode(bits)[2:], pos)
 
 
 class TestFoldUnfold:
@@ -222,13 +274,16 @@ class TestTransposeAndProduct:
 
     def test_transpose_equals_build_from_swapped_cells(self):
         rng = random.Random(17)
-        tags = set()
+        widest = 0
         for trial in range(200):
-            rows, cols = rng.randint(1, 12), rng.randint(1, 12)
+            if trial % 20:
+                rows, cols = rng.randint(1, 12), rng.randint(1, 12)
+            else:  # columns of many rows are built from binary digits
+                rows, cols = rng.randint(60, 150), rng.randint(1, 12)
             bm = random_bitmat(rng, rows, cols, density=rng.choice([0.05, 0.3, 0.7, 0.95]))
-            if trial % 2:  # a working copy whose rows were re-encoded in place
+            if trial % 2:  # a working copy whose rows lost bits in place
                 unfold(bm, BitArray(bitmat.O, cols, rng.getrandbits(cols)), "column", so_count=cols)
-            tags |= {row.tag for row in bm.rows.values()}
+            assert all(row > 0 for row in bm.rows.values())
             want = bitmat_from_cells(
                 "OS", 1, bitmat.O, bitmat.S, cols, rows, [(c, r) for r, c in bm.cells()]
             )
@@ -236,7 +291,8 @@ class TestTransposeAndProduct:
             assert (got.kind, got.slice_key, got.row_space, got.col_space) == ("OS", 1, bitmat.O, bitmat.S)
             assert (got.n_rows, got.n_cols, got.triple_count) == (cols, rows, want.triple_count)
             assert got.rows == want.rows
-        assert tags == {"pos", "rle"}
+            widest = max(widest, *map(int.bit_count, got.rows.values()), 0)
+        assert widest >= 64
 
     def test_product_against_identity(self):
         rng = random.Random(14)

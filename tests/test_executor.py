@@ -265,6 +265,7 @@ class TestTermsOfKeptRows:
     def test_execute(self, seinfeld_store, term_calls):
         # Res2 of the paper's example: five rows, of which best-match keeps two.
         result = run_query(parse(Q1_TEXT), seinfeld_store, TEXTUAL_ORDER)
+        assert term_calls  # built before run_query returns, as part of the query
         assert sum(t.stats.rows_emitted for t in result.disjuncts) == 5
         assert rows_of(result.relation) == [("Julia", "Seinfeld"), ("Larry", "NULL")]
         assert 0 < len(term_calls) <= self._cells(result.relation)
@@ -276,6 +277,31 @@ class TestTermsOfKeptRows:
         outcome = distinct_eval(parse("SELECT DISTINCT ?s ?y WHERE { ?s :p ?o . OPTIONAL { ?o :q ?y } }"), store)
         assert outcome.path == "bmm-bgp-opt"
         assert rows_of(outcome.relation) == [("a", "y")]
+        assert 0 < len(term_calls) <= self._cells(outcome.relation)
+
+    @pytest.mark.parametrize(
+        "text, force_naive",
+        [
+            ("SELECT DISTINCT ?s WHERE { ?s :p ?o }", True),
+            ("SELECT DISTINCT ?s WHERE { { ?s :p ?o } UNION { ?s :q ?o } }", False),
+        ],
+        ids=["forced", "union"],
+    )
+    def test_distinct_naive(self, term_calls, monkeypatch, text, force_naive):
+        # Ten join rows over ?s and ?o project to one row: only its cell
+        # becomes a term. The base query runs under the module's
+        # ``run_query`` name, so a wrapper put there sees it.
+        from bitopt import distinct
+
+        base_queries = []
+        monkeypatch.setattr(distinct, "run_query", lambda *a, **kw: base_queries.append(a) or run_query(*a, **kw))
+        store = TripleStore.from_ntriples(
+            "".join(f"<{EX}a> <{EX}{p}> <{EX}x{i}> .\n" for p in "pq" for i in range(5))
+        )
+        outcome = distinct_eval(parse(text), store, force_naive=force_naive)
+        assert outcome.path == "naive" and len(base_queries) == 1
+        assert rows_of(outcome.relation) == [("a",)]
+        assert outcome.result.best_match_applied is False
         assert 0 < len(term_calls) <= self._cells(outcome.relation)
 
 
