@@ -17,17 +17,19 @@ query ran any join but its one covering-subgraph join or a naive-path query
 ran other than one join per disjunct. Finally saves each random store,
 reopens it (so every matrix is decoded on its predicate's first use),
 compares the engine on the reopened store with the brute-force evaluator on
-the store as built, and counts the reads the reopened stores served: row
-reads (constant subject), column reads (constant object), masked S-O and
-O-S reads (a two-variable pattern loaded with its neighbours' mask), the
-whole matrices decoded, and the terms their dictionaries built from
-``dict.tsv`` lines (only the ids a query emits or filters on need one); it
-fails if ``open`` itself built any term. Last, loads each random store
-twice, once as generated (every line is read by the N-Triples reader's
-whole-line match) and once with a comment after every line (which sends
-each line down the term-by-term path), and fails unless the two saved
-stores are byte-identical and the engine on the second agrees with the
-brute-force evaluator.
+the store as built, and counts the reads the reopened stores served by the
+width of their mask: one-row reads (a masked S-O read of one subject, as
+for a constant subject), one-column reads (a masked O-S read of one
+object, as for a constant object), wider masked S-O and O-S reads (a
+two-variable pattern loaded with its neighbours' mask), and the whole
+matrices decoded; it fails if a class reads 0. It also counts the terms
+the dictionaries built from ``dict.tsv`` lines (only the ids a query emits
+or filters on need one) and fails if ``open`` itself built any term. Last,
+loads each random store twice, once as generated (every line is read by
+the N-Triples reader's whole-line match) and once with a comment after
+every line (which sends each line down the term-by-term path), and fails
+unless the two saved stores are byte-identical and the engine on the
+second agrees with the brute-force evaluator.
 
 Usage: python scripts/agreement_experiment.py [n_queries] [seed]
 """
@@ -138,22 +140,30 @@ def counting_terms():
         bitopt.store._parse_rendered_term = parse
 
 
+READ_CLASSES = (
+    "one-row reads",
+    "one-column reads",
+    "wider masked SO reads",
+    "wider masked OS reads",
+    "whole decodes",
+)
+
+
 @contextmanager
 def counting_reads():
-    """Count the store's reads by kind in the yielded Counter: row and
-    column reads, masked S-O and O-S reads, and whole matrices decoded."""
+    """Count the store's reads in the yielded Counter, masked reads by the
+    width of their mask (READ_CLASSES; an empty mask counts apart), and
+    the whole matrices decoded."""
     reads = Counter()
-    names = {
-        "SO_ROW": "row reads",
-        "SO_COL": "column reads",
-        "SO_MASKED": "masked SO reads",
-        "OS_MASKED": "masked OS reads",
-    }
     bitmat, decode = TripleStore.bitmat, bitopt.store._MatrixWords.decode
 
     def counted_bitmat(store, kind, key, keep=None):
-        if kind in names:
-            reads[names[kind]] += 1
+        if kind in ("SO_MASKED", "OS_MASKED"):
+            bits = keep.count()
+            if bits == 1:
+                reads["one-row reads" if kind == "SO_MASKED" else "one-column reads"] += 1
+            else:
+                reads[f"{'wider' if bits else 'empty'} masked {kind[:2]} reads"] += 1
         return bitmat(store, kind, key, keep)
 
     def counted_decode(words):
@@ -277,8 +287,7 @@ def main():
     started = time.perf_counter()
     with tempfile.TemporaryDirectory() as workdir:
         rstats = engine_run(total, base_seed, workdir=workdir)
-    reads = ("row reads", "column reads", "masked SO reads", "masked OS reads", "whole decodes")
-    for key in ("OPEN-BUILT-TERMS", *reads):
+    for key in ("OPEN-BUILT-TERMS", *READ_CLASSES):
         rstats.setdefault(key, 0)
     report("reopened store", rstats, time.perf_counter() - started)
     ran = max(rstats["ran"], 1)
@@ -291,7 +300,10 @@ def main():
         fstats = fallback_run(total, base_seed, workdir)
     fstats.setdefault("STORE-DIFFERS", 0)
     report("term-by-term parse", fstats, time.perf_counter() - started)
-    failed = dstats["JOIN-COUNT"] or rstats["OPEN-BUILT-TERMS"] or fstats["STORE-DIFFERS"]
+    unread = [key for key in READ_CLASSES if not rstats[key]]
+    if unread:
+        print(f"reopened store: no {', '.join(unread)}")
+    failed = dstats["JOIN-COUNT"] or rstats["OPEN-BUILT-TERMS"] or fstats["STORE-DIFFERS"] or unread
     if any(s["MISMATCH"] for s in (stats, tstats, dstats, rstats, fstats)) or failed:
         sys.exit(1)
 

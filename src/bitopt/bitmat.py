@@ -7,9 +7,8 @@ then int operations. The store's files hold rows in a compressed encoding;
 1-based.
 
 Row and column dimensions are tagged with the coordinate space they range
-over (subject, object, or the 1-wide unit space of a sliced-out row).
-Subject and object spaces share ids 1..n_so for terms that occur on both
-sides; masks crossing the two spaces only intersect inside that range.
+over, subject or object. The two spaces share ids 1..n_so for terms that
+occur on both sides; masks crossing them only intersect inside that range.
 """
 
 from __future__ import annotations
@@ -19,11 +18,10 @@ from dataclasses import dataclass, field, replace
 from functools import reduce
 from itertools import compress
 from operator import or_
-from typing import Collection, Iterable, Iterator
+from typing import Collection, Iterator
 
 S = "S"
 O = "O"
-UNIT = "U"
 
 
 class DimensionMismatchError(ValueError):
@@ -104,17 +102,13 @@ def align_mask(mask: BitArray, space: str, width: int, so_count: int) -> int:
 
     Same space: identity. Subject vs object: only the shared 1..so_count ids
     denote the same terms, everything above differs, so the projection
-    truncates there. Any predicate/unit mixing is a contract violation.
+    truncates there.
     """
-    if mask.space == space:
-        if mask.width != width:
-            raise DimensionMismatchError(
-                f"mask width {mask.width} != dimension width {width}"
-            )
-        return mask.mask
-    if {mask.space, space} == {S, O}:
+    if mask.space != space:
         return mask.mask & ((1 << so_count) - 1)
-    raise DimensionMismatchError(f"cannot align {mask.space} mask to {space} dimension")
+    if mask.width != width:
+        raise DimensionMismatchError(f"mask width {mask.width} != dimension width {width}")
+    return mask.mask
 
 
 def intersect_arrays(a: BitArray, b: BitArray, so_count: int) -> BitArray:
@@ -128,15 +122,13 @@ def intersect_arrays(a: BitArray, b: BitArray, so_count: int) -> BitArray:
 
 @dataclass
 class BitMat:
-    """2D bit matrix over one predicate (S-O/O-S) or derived from one (a
-    single row or column, a product, a per-query working copy).
+    """2D bit matrix over one predicate, S-O or O-S, or derived from one (a
+    product, a per-query working copy).
 
     ``rows`` maps a row index to its non-zero row. The triple count is
     kept in sync by every mutating operation.
     """
 
-    kind: str  # "SO" | "OS" | derived tags ("ROW", "BMM", ...)
-    slice_key: int
     row_space: str
     col_space: str
     n_rows: int
@@ -187,26 +179,6 @@ class BitMat:
         return c >= 1 and bool(self.rows.get(r, 0) >> (c - 1) & 1)
 
 
-def bitmat_from_cells(
-    kind: str,
-    slice_key: int,
-    row_space: str,
-    col_space: str,
-    n_rows: int,
-    n_cols: int,
-    cells: Iterable[tuple[int, int]],
-) -> BitMat:
-    by_row: defaultdict[int, set[int]] = defaultdict(set)
-    for r, c in cells:
-        if not (1 <= r <= n_rows and 1 <= c <= n_cols):
-            raise DimensionMismatchError(f"cell ({r},{c}) outside {n_rows}x{n_cols}")
-        by_row[r].add(c)
-    bm = BitMat(kind, slice_key, row_space, col_space, n_rows, n_cols)
-    bm.rows = {r: row_from_positions(cols) for r, cols in by_row.items()}
-    bm.triple_count = sum(map(len, by_row.values()))
-    return bm
-
-
 ROW_DIM = "row"
 COL_DIM = "column"
 
@@ -236,7 +208,6 @@ def unfold(bm: BitMat, mask: BitArray, retain: str, so_count: int) -> None:
 
 def transpose(bm: BitMat) -> BitMat:
     """Each column's row indexes are gathered, then built into a row once."""
-    kind = {"SO": "OS", "OS": "SO"}.get(bm.kind, bm.kind + "T")
     cols: defaultdict[int, list[int]] = defaultdict(list)
     for r, row in bm.rows.items():
         if row & (row - 1):
@@ -244,7 +215,7 @@ def transpose(bm: BitMat) -> BitMat:
                 cols[c].append(r)
         else:  # one bit, as in most rows of most S-O matrices
             cols[row.bit_length()].append(r)
-    out = BitMat(kind, bm.slice_key, bm.col_space, bm.row_space, bm.n_cols, bm.n_rows)
+    out = BitMat(bm.col_space, bm.row_space, bm.n_cols, bm.n_rows)
     out.rows = {c: 1 << (rows[0] - 1) if len(rows) == 1 else row_from_positions(rows) for c, rows in cols.items()}
     out.triple_count = bm.triple_count
     return out
@@ -253,22 +224,16 @@ def transpose(bm: BitMat) -> BitMat:
 def bmm(left: BitMat, right: BitMat, so_count: int) -> BitMat:
     """Boolean matrix product: out(i,k) = exists j with left(i,j) and right(j,k).
 
-    The shared dimension must range over one coordinate space, or over the
+    The shared dimension ranges over one coordinate space, or over the
     subject/object pair, where only ids 1..so_count can meet.
     """
-    if left.col_space == right.row_space:
-        if left.n_cols != right.n_rows:
-            raise DimensionMismatchError(
-                f"inner dimensions differ: {left.n_cols} vs {right.n_rows}"
-            )
-        shared = -1  # every bit
-    elif {left.col_space, right.row_space} == {S, O}:
+    if left.col_space != right.row_space:
         shared = (1 << so_count) - 1
+    elif left.n_cols != right.n_rows:
+        raise DimensionMismatchError(f"inner dimensions differ: {left.n_cols} vs {right.n_rows}")
     else:
-        raise DimensionMismatchError(
-            f"cannot multiply {left.col_space} columns into {right.row_space} rows"
-        )
-    out = BitMat("BMM", 0, left.row_space, right.col_space, left.n_rows, right.n_cols)
+        shared = -1  # every bit
+    out = BitMat(left.row_space, right.col_space, left.n_rows, right.n_cols)
     rows = right.rows
     for i, row in left.rows.items():
         acc = 0

@@ -159,13 +159,17 @@ def cmd_query(args) -> int:
     except UnsupportedByIndexError as exc:
         print(f"error: unsupported-by-index: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
+    except OracleCapacityError as exc:
+        # A limit of the brute-force evaluator, not a fault of the store.
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNSUPPORTED
     except DisconnectedQueryError as exc:
         print(f"error: rejected: {exc}", file=sys.stderr)
         return EXIT_REJECTED
     except QueryRejectedError as exc:
         print(f"error: rejected: {exc}", file=sys.stderr)
         return EXIT_REJECTED
-    except (OracleCapacityError, StoreError) as exc:
+    except StoreError as exc:
         # A matrix file is decoded on its predicate's first use, so a store
         # fault can surface here, after open().
         print(f"error: {exc}", file=sys.stderr)

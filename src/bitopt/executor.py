@@ -166,8 +166,7 @@ class _Depth(NamedTuple):
     """How one depth probes its matrix, in slots of the binding list. A
     dimension is fixed by the key in the slot of a variable an earlier depth
     binds (``*_slot``), or it is free and fills its variable's slot from
-    each cell (``fill_*``). A UNIT dimension is free and fills nothing: it
-    has the one position 1."""
+    each cell (``fill_*``)."""
 
     pm: PatternMatrix
     row_slot: "int | None"

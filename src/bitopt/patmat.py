@@ -1,13 +1,14 @@
 """Per-query working matrices, one per triple pattern.
 
-A working matrix wraps a (copy of a) stored BitMat with its dimensions
-mapped to the pattern's variables: a two-variable pattern is an S-O or O-S
-slice, patterns with one constant collapse to a single indexed row (a row
-or a column read of the S-O matrix), and a ground pattern is a 1x1
-presence bit, one test of one row. A two-variable pattern loaded with a
-mask on its row variable reads only the rows the mask keeps. The shared
-store is never mutated; semi-joins and load-time masks operate on these
-copies only.
+A working matrix wraps an S-O or O-S matrix of the pattern's predicate,
+over the real subject and object spaces, with its dimensions mapped to the
+pattern's variables. A two-variable pattern reads the whole matrix, or,
+loaded with a mask on its row variable, only the rows the mask keeps. A
+pattern with a constant subject or object is a masked read of that one
+row of the S-O or O-S matrix; its row dimension has no variable. A ground
+pattern is the constant subject's row, masked to the constant object's
+bit. The shared store is never mutated: whole matrices are copied, and
+semi-joins and load-time masks operate on the working matrices only.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Callable, Iterator
 
 from . import bitmat
 from .algebra import Comparison, TriplePattern, Variable, eval_filter
-from .bitmat import BitArray, BitMat, COL_DIM, ROW_DIM, bitmat_from_cells, fold, unfold
+from .bitmat import BitArray, BitMat, COL_DIM, ROW_DIM, fold, unfold
 from .store import Dictionary, TripleStore
 
 
@@ -96,13 +97,13 @@ def select_pattern_matrix(
 ) -> PatternMatrix:
     """Load the working matrix for a pattern.
 
-    Every pattern reads the S-O matrix of its predicate only. A fixed
-    subject loads that subject's row, a fixed object that object's column
-    (as a one-row matrix), and a ground pattern tests one bit of a row. Two
-    variables load the S-O or O-S slice, oriented so the variable that
-    joins first sits on the row dimension. ``keep`` gives, for a variable,
-    the mask of the values it may take, or None; a two-variable pattern
-    then reads only the rows its row variable may take.
+    Every pattern reads the S-O matrix of its predicate only. Two variables
+    load the S-O or O-S matrix, oriented so the variable that joins first
+    sits on the row dimension. ``keep`` gives, for a variable, the mask of
+    the values it may take, or None; a two-variable pattern then reads only
+    the rows its row variable may take. A fixed subject reads its one row
+    of the S-O matrix and a fixed object its one row of the O-S matrix; a
+    ground pattern reads the subject's row and keeps the object's bit.
     """
     d = store.dictionary
     if isinstance(tp.p, Variable):
@@ -113,51 +114,37 @@ def select_pattern_matrix(
     pid = d.predicate_id(tp.p)
     s_var = isinstance(tp.s, Variable)
     o_var = isinstance(tp.o, Variable)
-
-    def empty(row_var, col_var, n_cols, col_space):
-        bm = BitMat("ROW", 0, bitmat.UNIT, col_space, 1, max(n_cols, 1))
-        return PatternMatrix(tp, row_var, col_var, bm)
-
     if s_var and o_var:
         kind = "SO" if first_join_var is None or first_join_var == tp.s or tp.s == tp.o else "OS"
         row_var, col_var = (tp.s, tp.o) if kind == "SO" else (tp.o, tp.s)
-        pm = PatternMatrix(tp, row_var, col_var, _so_slice(store, pid, kind, keep and keep(row_var)))
-        if tp.s == tp.o:
-            # Repeated variable: diagonal of the S-O slice, shared ids only.
-            diag = BitArray(bitmat.S, d.n_s, (1 << d.n_so) - 1)
-            pm.unfold_var(tp.s, diag, d.n_so)
-            for r in list(pm.bm.rows):
-                pm.bm.mask_row(r, 1 << (r - 1))
-        return pm
-    if s_var:
-        # (?v :p :o) -> column :o of S-O(:p)
-        oid = d.object_id(tp.o)
-        if pid is None or oid is None:
-            return empty(None, tp.s, d.n_s, bitmat.S)
-        return PatternMatrix(tp, None, tp.s, store.bitmat("SO_COL", (pid, oid)).copy())
-    if o_var:
-        # (:s :p ?v) -> row :s of S-O(:p)
-        sid = d.subject_id(tp.s)
-        if pid is None or sid is None:
-            return empty(None, tp.o, d.n_o, bitmat.O)
-        return PatternMatrix(tp, None, tp.o, store.bitmat("SO_ROW", (pid, sid)).copy())
-    # Ground pattern: presence bit, one test of row :s.
-    sid = d.subject_id(tp.s)
-    oid = d.object_id(tp.o)
-    present = None not in (pid, sid, oid) and store.bitmat("SO_ROW", (pid, sid)).test(1, oid)
-    bm = bitmat_from_cells("ROW", 0, bitmat.UNIT, bitmat.UNIT, 1, 1, [(1, 1)] if present else [])
-    return PatternMatrix(tp, None, None, bm)
-
-
-def _so_slice(store: TripleStore, pid: "int | None", kind: str, keep: "BitArray | None") -> BitMat:
-    d = store.dictionary
+        mask = keep and keep(row_var)
+    elif s_var:  # (?v :p :o): row :o of O-S(:p)
+        kind, row_var, col_var = "OS", None, tp.s
+        mask = _one_bit(bitmat.O, d.n_o, d.object_id(tp.o))
+    else:  # (:s :p ?v) or (:s :p :o): row :s of S-O(:p)
+        kind, row_var, col_var = "SO", None, tp.o if o_var else None
+        mask = _one_bit(bitmat.S, d.n_s, d.subject_id(tp.s))
     if pid is None:
-        spaces = (bitmat.S, bitmat.O) if kind == "SO" else (bitmat.O, bitmat.S)
-        dims = (d.n_s, d.n_o) if kind == "SO" else (d.n_o, d.n_s)
-        return BitMat(kind, 0, spaces[0], spaces[1], max(dims[0], 1), max(dims[1], 1))
-    if keep is None:
-        return store.bitmat(kind, pid).copy()
-    return store.bitmat(kind + "_MASKED", pid, keep).copy()
+        bm = BitMat(bitmat.S, bitmat.O, d.n_s, d.n_o) if kind == "SO" else BitMat(bitmat.O, bitmat.S, d.n_o, d.n_s)
+    elif mask is None:
+        bm = store.bitmat(kind, pid).copy()
+    else:
+        bm = store.bitmat(kind + "_MASKED", pid, mask)
+    pm = PatternMatrix(tp, row_var, col_var, bm)
+    if not (s_var or o_var):
+        unfold(bm, _one_bit(bitmat.O, d.n_o, d.object_id(tp.o)), COL_DIM, d.n_so)
+    elif tp.s == tp.o:
+        # Repeated variable: diagonal of the S-O matrix, shared ids only.
+        diag = BitArray(bitmat.S, d.n_s, (1 << d.n_so) - 1)
+        pm.unfold_var(tp.s, diag, d.n_so)
+        for r in list(bm.rows):
+            bm.mask_row(r, 1 << (r - 1))
+    return pm
+
+
+def _one_bit(space: str, width: int, pos: "int | None") -> BitArray:
+    """The mask of ``pos`` alone, or the empty mask for a term with no id."""
+    return BitArray(space, width, 0 if pos is None else 1 << (pos - 1))
 
 
 def apply_loadtime_conjunct(pm: PatternMatrix, conjunct: Comparison, var: Variable, dictionary: Dictionary) -> None:

@@ -11,15 +11,14 @@ and on disk. In memory it is the bytes of its file, read once, by ``open``
 or from the encoder; the predicate's first use views them as words and
 builds a row-offset table, which is never stored. A read decodes only the
 rows it returns, each into an ``int`` (see ``bitmat``); the run-length and
-position encoding of a row in a file is known to this module only. The
-row read of a pattern with a constant subject, ``(:s :p ?o)``, decodes
-row s; the column read of a pattern with a constant object,
-``(?s :p :o)``, searches the file's bytes for o's word. A masked read of a
-two-variable pattern returns only the rows its mask keeps: S-O rows
-decoded one by one, or O-S rows built as column reads. A whole
-matrix, and its O-S transpose, is decoded and cached only for an unmasked
-read, or for a masked O-S read whose columns would cost more to read one
-by one.
+position encoding of a row in a file is known to this module only. Every
+read returns an S-O or O-S matrix over the subject and object spaces. A
+masked read returns only the rows its mask keeps: S-O rows decoded one by
+one, or O-S rows built as column reads, which search the file's bytes for
+the column's word. So the pattern ``(:s :p ?o)`` reads row s, and
+``(?s :p :o)`` one column, o. A whole matrix, and its O-S transpose, is
+decoded and cached only for an unmasked read, or for a masked O-S read of
+several columns that would cost more to read one by one.
 
 A saved store is a directory holding ``dict.tsv``, one ``bm_so_<pid>.bin``
 per predicate and ``manifest.txt``: a format-version line, a ``dict.tsv``
@@ -261,14 +260,14 @@ class TripleStore:
     """Immutable-after-load triple store; any number of concurrent readers.
 
     The S-O matrix of each predicate is held as the bytes of its file, the
-    only copy of the triples. Row, column and masked reads decode only what
-    they return; a whole matrix, and its transpose, is decoded on its first
-    unmasked read and cached under ``("SO", pid)`` or ``("OS", pid)``.
+    only copy of the triples. Masked reads decode only what they return; a
+    whole matrix, and its transpose, is decoded on its first unmasked read
+    and cached under ``("SO", pid)`` or ``("OS", pid)``.
     """
 
     def __init__(self, dictionary: Dictionary):
         self.dictionary = dictionary
-        self._cache: dict[tuple[str, object], BitMat] = {}
+        self._cache: dict[tuple[str, int], BitMat] = {}
         # Predicate id -> the name or path of its matrix file, and its bytes:
         # the encoder's, or those ``open`` read and checked.
         self._data: dict[int, tuple[str, bytes]] = {}
@@ -324,65 +323,49 @@ class TripleStore:
 
     # -- reads -------------------------------------------------------------------
 
-    def bitmat(self, kind: str, slice_key: "int | tuple[int, int]", keep: "BitArray | None" = None) -> BitMat:
-        """Read a stored S-O matrix, or a part of one:
+    def bitmat(self, kind: str, pid: int, keep: "BitArray | None" = None) -> BitMat:
+        """Read a stored S-O matrix, or some of its rows or columns:
 
-        * ``("SO", pid)`` and ``("OS", pid)``: S-O(pid) and its transpose,
-          decoded whole and cached;
-        * ``("SO_MASKED", pid)`` and ``("OS_MASKED", pid)`` with ``keep``, a
-          mask over the rows to return (subjects for S-O, objects for O-S):
-          a new S-O or O-S matrix of only those rows, never cached as a
-          whole. S-O rows are decoded one by one. O-S rows are read as
-          columns of S-O(pid), unless the whole O-S matrix is cached or the
-          columns not yet read cost more than building it (see
-          ``_MatrixWords.column_budget``): then they are picked from the
-          whole O-S matrix, which is built and cached if need be;
-        * ``("SO_ROW", (pid, sid))``: row sid of S-O(pid), a 1 x n_o matrix;
-        * ``("SO_COL", (pid, oid))``: column oid of S-O(pid), as a 1 x n_s
-          matrix.
-
-        Callers must copy before mutating."""
+        * ``"SO"`` and ``"OS"``: S-O(pid) and its transpose, decoded whole
+          and cached. Callers must copy before mutating;
+        * ``"SO_MASKED"`` and ``"OS_MASKED"`` with ``keep``, a mask over the
+          rows to return (subjects for S-O, objects for O-S): a new S-O or
+          O-S matrix of only those rows, never cached as a whole. S-O rows
+          are decoded one by one. O-S rows are read as columns of S-O(pid),
+          unless the whole O-S matrix is cached, or more than one column is
+          asked for and the columns not yet read cost more than building it
+          (see ``_MatrixWords.column_budget``): then they are picked from
+          the whole O-S matrix, which is built and cached if need be."""
         if kind in ("SO_MASKED", "OS_MASKED"):
-            return self._masked(kind[:2], slice_key, keep)
-        key = (kind, slice_key)
-        cached = self._cache.get(key)
+            return self._masked(kind[:2], pid, keep)
+        cached = self._cache.get((kind, pid))
         if cached is not None:
             return cached
-        d = self.dictionary
         if kind == "SO":
-            bm = self._matrix(slice_key).decode()
+            bm = self._matrix(pid).decode()
         elif kind == "OS":
-            bm = bitmat.transpose(self.bitmat("SO", slice_key))
-        elif kind in ("SO_ROW", "SO_COL"):
-            pid, idx = slice_key
-            words = self._matrix(pid)
-            if kind == "SO_ROW":
-                row, space, width = words.row_of(idx), bitmat.O, d.n_o
-            else:
-                row, space, width = words.column(idx), bitmat.S, d.n_s
-            bm = BitMat("ROW", idx, bitmat.UNIT, space, 1, width)
-            if row is not None:
-                bm.rows[1] = row  # shared as is: rows are immutable
-                bm.refresh_meta()
+            bm = bitmat.transpose(self.bitmat("SO", pid))
         else:
             raise StoreError(f"unknown BitMat kind {kind!r}")
-        self._cache[key] = bm
+        self._cache[(kind, pid)] = bm
         return bm
 
     def _masked(self, kind: str, pid: int, keep: BitArray) -> BitMat:
         d = self.dictionary
         words = self._matrix(pid)
         if kind == "SO":
-            bm = BitMat("SO", pid, bitmat.S, bitmat.O, d.n_s, d.n_o)
+            bm = BitMat(bitmat.S, bitmat.O, d.n_s, d.n_o)
             bm.rows = words.rows_in(BitArray(bitmat.S, d.n_s, align_mask(keep, bitmat.S, d.n_s, d.n_so)))
         else:
-            bm = BitMat("OS", pid, bitmat.O, bitmat.S, d.n_o, d.n_s)
+            bm = BitMat(bitmat.O, bitmat.S, d.n_o, d.n_s)
             mask = BitArray(bitmat.O, d.n_o, align_mask(keep, bitmat.O, d.n_o, d.n_so))
             whole = self._cache.get(("OS", pid))
             if whole is None and not words.columns_cheaper(mask):
                 whole = self.bitmat("OS", pid)
             if whole is None:
                 bm.rows = words.columns_in(mask)
+            elif mask.count() <= len(whole.rows):
+                bm.rows = {oid: row for oid in mask.positions() if (row := whole.rows.get(oid)) is not None}
             else:
                 bits = mask.mask
                 bm.rows = {oid: row for oid, row in whole.rows.items() if bits >> (oid - 1) & 1}
@@ -598,14 +581,14 @@ def _check_header(data: bytes, d: Dictionary) -> int:
     the predicate id."""
     if len(data) % 4 or len(data) < 24:
         raise StoreError(f"truncated to {len(data)} bytes")
-    kind_code, slice_key, n_rows, n_cols = struct.unpack_from("<4I", data)
+    kind_code, pid, n_rows, n_cols = struct.unpack_from("<4I", data)
     if kind_code != SO_KIND_CODE:
         raise StoreError(f"kind code {kind_code} is not an S-O matrix")
-    if not 1 <= slice_key <= d.n_p:
-        raise StoreError(f"predicate {slice_key} outside 1..{d.n_p}")
+    if not 1 <= pid <= d.n_p:
+        raise StoreError(f"predicate {pid} outside 1..{d.n_p}")
     if (n_rows, n_cols) != (d.n_s, d.n_o):
         raise StoreError(f"{n_rows}x{n_cols} matrix, dictionary has {d.n_s}x{d.n_o}")
-    return slice_key
+    return pid
 
 
 class _MatrixWords:
@@ -759,9 +742,11 @@ class _MatrixWords:
 
     def columns_cheaper(self, mask: BitArray) -> bool:
         """Whether reading the columns set in ``mask`` that have not been
-        read costs less than a whole decode and transpose."""
+        read costs less than a whole decode and transpose. One column is
+        always read alone: the read of a constant object never builds the
+        transpose."""
         budget = self.column_budget
-        if mask.count() <= budget:
+        if mask.count() <= max(budget, 1):
             return True
         cols, unread = self._cols, 0
         for col in mask.positions():
@@ -824,7 +809,7 @@ class _MatrixWords:
 
     def decode(self) -> BitMat:
         """The whole matrix, every row decoded and checked."""
-        bm = BitMat("SO", self.pid, bitmat.S, bitmat.O, self.n_rows, self.n_cols)
+        bm = BitMat(bitmat.S, bitmat.O, self.n_rows, self.n_cols)
         bm.rows = {idx: self.row(place) for place, idx in enumerate(self.ids)}
         bm.triple_count = self.count
         return bm

@@ -1,7 +1,8 @@
 """A short run of ``scripts/agreement_experiment.py``: every phase (engine,
 textual order, DISTINCT, reopened store, term-by-term parse) must agree with
-the reference evaluator. The reopened-store phase reads rows, columns and
-masked slices from matrix files."""
+the reference evaluator. The reopened-store phase reads matrix files and
+fails unless it made one-row, one-column, wider masked S-O and O-S reads
+and whole decodes."""
 
 import os
 import subprocess

@@ -4,6 +4,7 @@ brute force."""
 
 import itertools
 import random
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from bitopt.bitmat import (
     BitArray,
     BitMat,
     DimensionMismatchError,
-    bitmat_from_cells,
     bmm,
     fold,
     positions,
@@ -163,6 +163,15 @@ class TestRowFromPositions:
             _row_words([3], 2)
 
 
+def bitmat_from_cells(row_space, col_space, n_rows, n_cols, cells):
+    """The matrix of ``cells``, (row, column) pairs inside n_rows x n_cols."""
+    by_row = defaultdict(set)
+    for r, c in cells:
+        assert 1 <= r <= n_rows and 1 <= c <= n_cols, (r, c)
+        by_row[r].add(c)
+    return BitMat(row_space, col_space, n_rows, n_cols, {r: row_from_positions(cols) for r, cols in by_row.items()})
+
+
 def random_bitmat(rng, rows, cols, density=0.3, row_space=bitmat.S, col_space=bitmat.O):
     cells = [
         (r, c)
@@ -170,7 +179,7 @@ def random_bitmat(rng, rows, cols, density=0.3, row_space=bitmat.S, col_space=bi
         for c in range(1, cols + 1)
         if rng.random() < density
     ]
-    return bitmat_from_cells("SO", 1, row_space, col_space, rows, cols, cells)
+    return bitmat_from_cells(row_space, col_space, rows, cols, cells)
 
 
 def dense(bm):
@@ -187,7 +196,7 @@ class TestRowTest:
     @pytest.mark.parametrize("bits", ["1" * 15 + "0" * 25, "0" * 39 + "1", "0100000001"], ids=str)
     def test_matches_positions(self, bits):
         words, row = stored_row(bits)
-        bm = BitMat("ROW", 0, bitmat.UNIT, bitmat.O, 1, len(bits), {1: row})
+        bm = BitMat(bitmat.S, bitmat.O, 1, len(bits), {1: row})
         ones = ones_of(bits)
         assert [p for p in range(1, len(bits) + 1) if bm.test(1, p)] == ones
         assert [p for p in range(1, len(bits) + 1) if words.column(p) is not None] == ones
@@ -202,7 +211,7 @@ class TestRowTest:
         bits = "1" * 15 + "0" * 24 + "1" if tag == 1 else "1" + "0" * 38 + "1"
         assert encode(bits)[0] == tag
         words, row = stored_row(bits)
-        bm = BitMat("ROW", 0, bitmat.UNIT, bitmat.O, 1, 40, {1: row})
+        bm = BitMat(bitmat.S, bitmat.O, 1, 40, {1: row})
         assert bm.test(1, 1) and bm.test(1, 40)
         assert words.column(1) == words.column(40) == 1
         for pos in (0, -3, 41):
@@ -284,11 +293,9 @@ class TestTransposeAndProduct:
             if trial % 2:  # a working copy whose rows lost bits in place
                 unfold(bm, BitArray(bitmat.O, cols, rng.getrandbits(cols)), "column", so_count=cols)
             assert all(row > 0 for row in bm.rows.values())
-            want = bitmat_from_cells(
-                "OS", 1, bitmat.O, bitmat.S, cols, rows, [(c, r) for r, c in bm.cells()]
-            )
+            want = bitmat_from_cells(bitmat.O, bitmat.S, cols, rows, [(c, r) for r, c in bm.cells()])
             got = transpose(bm)
-            assert (got.kind, got.slice_key, got.row_space, got.col_space) == ("OS", 1, bitmat.O, bitmat.S)
+            assert (got.row_space, got.col_space) == (bitmat.O, bitmat.S)
             assert (got.n_rows, got.n_cols, got.triple_count) == (cols, rows, want.triple_count)
             assert got.rows == want.rows
             widest = max(widest, *map(int.bit_count, got.rows.values()), 0)
@@ -297,9 +304,7 @@ class TestTransposeAndProduct:
     def test_product_against_identity(self):
         rng = random.Random(14)
         left = random_bitmat(rng, 6, 6, row_space=bitmat.S, col_space=bitmat.S)
-        ident = bitmat_from_cells(
-            "SO", 2, bitmat.S, bitmat.S, 6, 6, [(i, i) for i in range(1, 7)]
-        )
+        ident = bitmat_from_cells(bitmat.S, bitmat.S, 6, 6, [(i, i) for i in range(1, 7)])
         out = bmm(left, ident, so_count=6)
         assert set(out.cells()) == set(left.cells())
 
@@ -324,13 +329,14 @@ class TestTransposeAndProduct:
 
     def test_cross_space_product_meets_only_in_shared_range(self):
         # Object column 3 can meet subject row 3 only when 3 <= n_so.
-        a = bitmat_from_cells("SO", 1, bitmat.S, bitmat.O, 4, 4, [(1, 3), (2, 4)])
-        b = bitmat_from_cells("SO", 2, bitmat.S, bitmat.O, 4, 4, [(3, 1), (4, 2)])
+        a = bitmat_from_cells(bitmat.S, bitmat.O, 4, 4, [(1, 3), (2, 4)])
+        b = bitmat_from_cells(bitmat.S, bitmat.O, 4, 4, [(3, 1), (4, 2)])
         out = bmm(a, b, so_count=3)
         assert set(out.cells()) == {(1, 1)}  # row 4 of b is outside the overlap
 
     def test_dimension_mismatch_rejected(self):
-        a = bitmat_from_cells("SO", 1, bitmat.S, bitmat.O, 4, 4, [(1, 1)])
-        b = bitmat_from_cells("ROW", 2, bitmat.UNIT, bitmat.S, 4, 4, [(1, 1)])
+        # One coordinate space on both sides of the product, of two widths.
+        a = bitmat_from_cells(bitmat.S, bitmat.O, 4, 4, [(1, 1)])
+        b = bitmat_from_cells(bitmat.O, bitmat.S, 5, 4, [(1, 1)])
         with pytest.raises(DimensionMismatchError):
             bmm(a, b, so_count=4)

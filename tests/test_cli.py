@@ -176,6 +176,19 @@ class TestQuery:
         assert "unsupported-by-index" in capsys.readouterr().err
         assert main(["query", str(store_dir), qpath, "--oracle"]) == EXIT_OK
 
+    def test_oracle_capacity_unsupported(self, tmp_path, capsys):
+        # 101 x 101 rows of a Cartesian product pass the oracle's row cap.
+        data = tmp_path / "wide.nt"
+        data.write_text("".join(f"<{EX}s{i}> <{EX}p> <{EX}o{i}> .\n" for i in range(101)))
+        assert main(["load", str(tmp_path / "s"), str(data)]) == EXIT_OK
+        capsys.readouterr()
+        qpath = write_query(tmp_path, "SELECT ?a ?b ?c ?d WHERE { ?a :p ?b . ?c :p ?d }")
+        assert main(["query", str(tmp_path / "s"), qpath, "--oracle"]) == EXIT_UNSUPPORTED
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "oracle" in captured.err
+
     def test_disconnected_rejected(self, tmp_path, store_dir, capsys):
         text = "SELECT ?a ?b WHERE { :Jerry :hasFriend ?a . :Seinfeld :location ?b }"
         qpath = write_query(tmp_path, text)

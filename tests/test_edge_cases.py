@@ -69,6 +69,11 @@ class TestRepeatedVariable:
         assert normalized(engine) == normalized(oracle_relation(q, store))
         assert rows_of(engine) == [("a1",), ("b1",)]
 
+    def test_self_loop_on_empty_store(self):
+        # Every matrix of an empty store has 0 x 0 cells, the diagonal mask too.
+        q = parse("SELECT ?x WHERE { ?x :p ?x }")
+        assert rows_of(engine_relation(q, TripleStore.from_ntriples(""))) == []
+
     def test_self_loop_joined(self):
         store = TripleStore.from_ntriples(
             nt(("a1", "p", "a1"), ("a1", "q", "c1"), ("a2", "q", "c2"))

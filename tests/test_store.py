@@ -262,8 +262,10 @@ class TestSelection:
         d = seinfeld_store.dictionary
         tp = TriplePattern(1, Variable("sitcom"), iri("location"), iri("NYC"))
         pm = select_pattern_matrix(seinfeld_store, tp)
-        assert pm.col_var == Variable("sitcom")
-        assert pm.bm.n_rows == 1
+        # Row :NYC of the O-S matrix, a row that binds no variable.
+        assert (pm.row_var, pm.col_var) == (None, Variable("sitcom"))
+        assert (pm.bm.row_space, pm.bm.n_rows, pm.bm.n_cols) == (bitmat.O, d.n_o, d.n_s)
+        assert list(pm.bm.rows) == [d.object_id(iri("NYC"))]
         positions = [d.subject_term(p) for p in pm.fold_var(Variable("sitcom")).positions()]
         assert positions == [iri("Seinfeld")]
 
@@ -271,15 +273,18 @@ class TestSelection:
         d = seinfeld_store.dictionary
         tp = TriplePattern(1, iri("Jerry"), iri("hasFriend"), Variable("friend"))
         pm = select_pattern_matrix(seinfeld_store, tp)
+        assert (pm.row_var, pm.col_var) == (None, Variable("friend"))
+        assert (pm.bm.row_space, pm.bm.n_rows, pm.bm.n_cols) == (bitmat.S, d.n_s, d.n_o)
+        assert list(pm.bm.rows) == [d.subject_id(iri("Jerry"))]
         found = {d.object_term(p) for p in pm.fold_var(Variable("friend")).positions()}
         assert found == {iri("Julia"), iri("Larry")}
 
     def test_two_variable_orientation_follows_first_join(self, seinfeld_store):
         tp = TriplePattern(1, Variable("a"), iri("actedIn"), Variable("b"))
         pm = select_pattern_matrix(seinfeld_store, tp, first_join_var=Variable("a"))
-        assert pm.bm.kind == "SO" and pm.row_var == Variable("a")
+        assert (pm.bm.row_space, pm.bm.col_space) == (bitmat.S, bitmat.O) and pm.row_var == Variable("a")
         pm = select_pattern_matrix(seinfeld_store, tp, first_join_var=Variable("b"))
-        assert pm.bm.kind == "OS" and pm.row_var == Variable("b")
+        assert (pm.bm.row_space, pm.bm.col_space) == (bitmat.O, bitmat.S) and pm.row_var == Variable("b")
 
     def test_unknown_constant_gives_empty_matrix(self, seinfeld_store):
         tp = TriplePattern(1, Variable("x"), iri("nosuch"), Variable("y"))
@@ -365,26 +370,34 @@ def _check_against_brute_force(store: TripleStore, text: str) -> None:
     assert store.triple_count == len(ids)
     assert store.term_triples() == sorted(terms, key=lambda t: tuple(term_sort_key(x) for x in t))
 
-    def check(kind, key, n_rows, n_cols, want):
-        bm = store.bitmat(kind, key)
-        assert (bm.kind, bm.slice_key, bm.n_rows, bm.n_cols) == (kind, key, n_rows, n_cols)
+    spaces = {"SO": (bitmat.S, bitmat.O, d.n_s, d.n_o), "OS": (bitmat.O, bitmat.S, d.n_o, d.n_s)}
+
+    def check(kind, pid, want):
+        bm = store.bitmat(kind, pid)
+        assert (bm.row_space, bm.col_space, bm.n_rows, bm.n_cols) == spaces[kind]
         assert set(bm.cells()) == want
         assert bm.triple_count == len(want)
 
-    def check_read(kind, key, n_cols, want):
-        # A row or column read is a one-row matrix of the constant's id.
-        bm = store.bitmat(kind, key)
-        assert (bm.kind, bm.slice_key, bm.n_rows, bm.n_cols) == ("ROW", key[1], 1, n_cols)
-        assert set(bm.cells()) == {(1, c) for c in want}
+    def check_read(kind, pid, idx, want):
+        # A row or column read is a masked read of the constant's one bit:
+        # row idx of the S-O or O-S matrix.
+        row_space, col_space, n_rows, n_cols = spaces[kind]
+        bm = store.bitmat(kind + "_MASKED", pid, BitArray(row_space, n_rows, 1 << (idx - 1)))
+        assert (bm.row_space, bm.col_space, bm.n_rows, bm.n_cols) == spaces[kind]
+        assert set(bm.cells()) == {(idx, c) for c in want}
         assert bm.triple_count == len(want)
 
-    for pid in range(1, d.n_p + 1):
-        check("SO", pid, d.n_s, d.n_o, {(s, o) for s, p, o in ids if p == pid})
-        check("OS", pid, d.n_o, d.n_s, {(o, s) for s, p, o in ids if p == pid})
+    def check_reads(pid):
         for sid in range(1, d.n_s + 1):
-            check_read("SO_ROW", (pid, sid), d.n_o, {o for s, p, o in ids if (s, p) == (sid, pid)})
+            check_read("SO", pid, sid, {o for s, p, o in ids if (s, p) == (sid, pid)})
         for oid in range(1, d.n_o + 1):
-            check_read("SO_COL", (pid, oid), d.n_s, {s for s, p, o in ids if (p, o) == (pid, oid)})
+            check_read("OS", pid, oid, {s for s, p, o in ids if (p, o) == (pid, oid)})
+
+    for pid in range(1, d.n_p + 1):
+        check_reads(pid)  # read from the matrix's words
+        check("SO", pid, {(s, o) for s, p, o in ids if p == pid})
+        check("OS", pid, {(o, s) for s, p, o in ids if p == pid})
+        check_reads(pid)  # picked from the cached whole matrices
     for sid in range(1, d.n_s + 1):
         for pid in range(1, d.n_p + 1):
             for oid in range(1, d.n_o + 1):
@@ -524,19 +537,20 @@ def _check_word_reads(store: TripleStore, whole: TripleStore, rng: random.Random
             objects = bitmat.align_mask(mask, bitmat.O, d.n_o, d.n_so)
             so = store.bitmat("SO_MASKED", pid, mask)
             want = {(s, o) for s, o in cells if subjects >> (s - 1) & 1}
-            assert (so.kind, so.n_rows, so.n_cols, so.triple_count) == ("SO", d.n_s, d.n_o, len(want))
+            assert (so.row_space, so.n_rows, so.n_cols, so.triple_count) == (bitmat.S, d.n_s, d.n_o, len(want))
             assert set(so.cells()) == want
             os_ = store.bitmat("OS_MASKED", pid, mask)
             want = {(o, s) for s, o in cells if objects >> (o - 1) & 1}
-            assert (os_.kind, os_.n_rows, os_.n_cols, os_.triple_count) == ("OS", d.n_o, d.n_s, len(want))
+            assert (os_.row_space, os_.n_rows, os_.n_cols, os_.triple_count) == (bitmat.O, d.n_o, d.n_s, len(want))
             assert set(os_.cells()) == want
             assert all(type(row) is int and row > 0 for row in os_.rows.values())
+        # Row and column reads: masked reads of one bit.
         for sid in range(1, d.n_s + 1):
-            row = store.bitmat("SO_ROW", (pid, sid))
-            assert set(row.cells()) == {(1, o) for s, o in cells if s == sid}
+            row = store.bitmat("SO_MASKED", pid, BitArray(bitmat.S, d.n_s, 1 << (sid - 1)))
+            assert set(row.cells()) == {(s, o) for s, o in cells if s == sid}
         for oid in range(1, d.n_o + 1):
-            col = store.bitmat("SO_COL", (pid, oid))
-            assert set(col.cells()) == {(1, s) for s, o in cells if o == oid}
+            col = store.bitmat("OS_MASKED", pid, BitArray(bitmat.O, d.n_o, 1 << (oid - 1)))
+            assert set(col.cells()) == {(o, s) for s, o in cells if o == oid}
             assert col.triple_count == sum(1 for _, o in cells if o == oid)
 
 
@@ -587,7 +601,7 @@ class TestWordReads:
         wants = [sorted(run_query(q, fresh).relation.project(q.projection).rows, key=str) for q in queries]
         whole = []
         monkeypatch.setattr(bitopt.store._MatrixWords, "decode", lambda words: whole.append(words.pid))
-        monkeypatch.setattr(bitopt.bitmat, "transpose", lambda bm: whole.append(bm.slice_key))
+        monkeypatch.setattr(bitopt.bitmat, "transpose", whole.append)
         for query, want in zip(queries, wants):
             got = run_query(query, store).relation.project(query.projection).rows
             assert got and sorted(got, key=str) == want
@@ -595,6 +609,35 @@ class TestWordReads:
             ground = TriplePattern(1, iri("Seinfeld"), iri("location"), iri(obj))
             assert select_pattern_matrix(store, ground).count == present
         assert whole == []
+
+    def test_constant_object_reads_one_column(self, tmp_path, monkeypatch):
+        import bitopt.store
+
+        TripleStore.from_ntriples(SEINFELD_NT).save(str(tmp_path))
+        store = TripleStore.open(str(tmp_path))
+        d = store.dictionary
+        pid = d.predicate_id(iri("location"))
+        # Every predicate here is small enough that a whole decode and
+        # transpose costs less than one column read.
+        assert all(store._matrix(p).column_budget < 1 for p in range(1, d.n_p + 1))
+        tp = TriplePattern(1, Variable("s"), iri("location"), iri("NYC"))
+        want = [d.subject_id(iri("Seinfeld"))]
+        whole = []
+        monkeypatch.setattr(bitopt.store._MatrixWords, "decode", lambda words: whole.append(words.pid))
+        monkeypatch.setattr(bitopt.bitmat, "transpose", whole.append)
+        assert select_pattern_matrix(store, tp).fold_var(Variable("s")).positions() == want
+        assert whole == [] and ("OS", pid) not in store._cache
+        monkeypatch.undo()
+
+        class NoWalk(dict):
+            def items(self):
+                raise AssertionError("walked every row of the whole O-S matrix")
+
+            __iter__ = keys = values = items
+
+        cached = store.bitmat("OS", pid)
+        cached.rows = NoWalk(cached.rows)
+        assert select_pattern_matrix(store, tp).fold_var(Variable("s")).positions() == want
 
 
 # An IRI used as predicate and as subject and object, string literals holding
