@@ -3,11 +3,13 @@
 
 Generates seeded stores and well-designed queries, evaluates each with the
 optimized pipeline and the brute-force evaluator, and compares the results
-after minimum-union normalization. Prints counts per structural class.
-Then runs the same queries again in textual join order, unpruned, with
-nullification and best-match forced on (the debug flags ``--no-prune
---unsafe-order --nullify on --best-match on``), which makes the join turn
-the most matrices, and compares that with the brute-force evaluator too.
+after minimum-union normalization. Prints counts per structural class. This
+first phase also draws UNIONs on the slave side of an OPTIONAL (the rule-3
+shape) and fails if none ran. Then runs the same seeds, without that
+shape, in textual join order, unpruned, with nullification and best-match
+forced on (the debug flags ``--no-prune --unsafe-order --nullify on
+--best-match on``), which makes the join turn the most matrices, and
+compares that with the brute-force evaluator too.
 Then does the same for DISTINCT queries (a random subset of each query's
 variables): ``distinct_eval`` as dispatched, ``distinct_eval`` forced onto
 the naive path and the brute-force evaluator must all agree after minimum
@@ -40,6 +42,7 @@ import tempfile
 import time
 from collections import Counter
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import bitopt.store
@@ -55,6 +58,7 @@ from workload import GenConfig, random_query, random_store_text  # noqa: E402
 
 DISTINCT_PATHS = ("bmm-bgp", "bmm-bgp-opt", "naive")
 TEXTUAL_ORDER = RunConfig(prune=False, unsafe_order=True, nullify="on", best_match="on")
+ENGINE_QUERIES = GenConfig(p_optional=0.7, p_union=0.3, p_filter=0.3, p_cycle=0.25)
 
 
 def minimum_union(relation: Relation) -> frozenset:
@@ -81,10 +85,13 @@ def reopened(store: TripleStore, directory: str) -> TripleStore:
 
 
 def engine_run(
-    total: int, base_seed: int, config: "RunConfig | None" = None, workdir: "str | None" = None
+    total: int,
+    base_seed: int,
+    config: "RunConfig | None" = None,
+    workdir: "str | None" = None,
+    cfg: GenConfig = ENGINE_QUERIES,
 ) -> Counter:
     """With ``workdir``, the engine runs on the store saved there and reopened."""
-    cfg = GenConfig(p_optional=0.7, p_union=0.3, p_filter=0.3, p_cycle=0.25)
     stats = Counter()
     seed = base_seed
     while stats["ran"] < total:
@@ -234,7 +241,7 @@ def store_files(store: TripleStore, directory: Path) -> dict[str, bytes]:
 
 
 def fallback_run(total: int, base_seed: int, workdir: str) -> Counter:
-    cfg = GenConfig(p_optional=0.7, p_union=0.3, p_filter=0.3, p_cycle=0.25)
+    cfg = ENGINE_QUERIES
     stats = Counter()
     seed = base_seed
     while stats["ran"] < total:
@@ -273,7 +280,8 @@ def main():
     total = int(sys.argv[1]) if len(sys.argv) > 1 else 300
     base_seed = int(sys.argv[2]) if len(sys.argv) > 2 else 0
     started = time.perf_counter()
-    stats = engine_run(total, base_seed)
+    stats = engine_run(total, base_seed, cfg=replace(ENGINE_QUERIES, p_slave_union=0.3))
+    stats.setdefault("rule3", 0)
     report("engine", stats, time.perf_counter() - started)
     started = time.perf_counter()
     tstats = engine_run(total, base_seed, TEXTUAL_ORDER)
@@ -303,7 +311,11 @@ def main():
     unread = [key for key in READ_CLASSES if not rstats[key]]
     if unread:
         print(f"reopened store: no {', '.join(unread)}")
-    failed = dstats["JOIN-COUNT"] or rstats["OPEN-BUILT-TERMS"] or fstats["STORE-DIFFERS"] or unread
+    if not stats["rule3"]:
+        print("engine: no rule-3 query ran")
+    failed = (
+        dstats["JOIN-COUNT"] or rstats["OPEN-BUILT-TERMS"] or fstats["STORE-DIFFERS"] or unread or not stats["rule3"]
+    )
     if any(s["MISMATCH"] for s in (stats, tstats, dstats, rstats, fstats)) or failed:
         sys.exit(1)
 

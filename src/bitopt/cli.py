@@ -22,7 +22,6 @@ from .oracle import OracleCapacityError, oracle_eval
 from .parser import QuerySyntaxError, parse
 from .patmat import UnsupportedByIndexError
 from .store import StoreError, TripleStore
-from .structure import DisconnectedQueryError
 from .terms import render_term, term_sort_key
 
 EXIT_OK = 0
@@ -106,10 +105,13 @@ def cmd_query(args) -> int:
     directory = _store_dir(args.store)
     try:
         store = TripleStore.open(directory)
-        with open(args.query, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(args.query, "rb") as fh:
+            text = fh.read().decode("utf-8")
     except (OSError, StoreError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.query}: not UTF-8 ({exc.reason} at byte {exc.start + 1})", file=sys.stderr)
         return EXIT_IO
     try:
         query = parse(text)
@@ -127,14 +129,8 @@ def cmd_query(args) -> int:
         return EXIT_IO
     try:
         if args.oracle:
-            relation = oracle_eval(query, store.term_triples())
-            projected = Relation(
-                tuple(query.projection),
-                [
-                    tuple(row.get(v) for v in query.projection)
-                    for row in relation.rows
-                ],
-            )
+            rows = oracle_eval(query, store.term_triples()).rows
+            projected = Relation(query.projection, [tuple(row.get(v) for v in query.projection) for row in rows])
             if query.distinct:
                 projected = best_match(projected)
             _emit(projected, query.projection, out)
@@ -163,10 +159,7 @@ def cmd_query(args) -> int:
         # A limit of the brute-force evaluator, not a fault of the store.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except DisconnectedQueryError as exc:
-        print(f"error: rejected: {exc}", file=sys.stderr)
-        return EXIT_REJECTED
-    except QueryRejectedError as exc:
+    except QueryRejectedError as exc:  # a Cartesian query (DisconnectedQueryError)
         print(f"error: rejected: {exc}", file=sys.stderr)
         return EXIT_REJECTED
     except StoreError as exc:

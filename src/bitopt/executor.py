@@ -1,8 +1,9 @@
 """Pipelined evaluation: pattern ordering, the multi-way join with
 backtracking and NULL extension, nullification, best-match, and the query
-pipeline in two steps. ``plan_query`` places filters, analyzes the
-structure, prunes each UNION-free component and expands to union normal
-form; ``execute`` runs one join per disjunct and applies minimum union where
+pipeline in two steps. ``plan_query`` places filters and expands to union
+normal form; each disjunct is the unit of planning, analyzed, loaded and
+pruned on its own, so a UNION branch loads masked by its masters.
+``execute`` runs one join per disjunct and applies minimum union where
 required.
 
 The join keeps no intermediate tables: its only mutable state is one
@@ -13,20 +14,17 @@ and a recursion stack bounded by the pattern count.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, NamedTuple, Sequence
 
 from .algebra import (
     Bgp,
-    Filter,
     PatternNode,
     Query,
-    Union,
     Variable,
     coalesce_bgps,
     eval_filter,
-    iter_nodes,
     node_patterns,
     node_vars,
     serialize,
@@ -354,9 +352,10 @@ def _null_supernodes(sn_slots: dict[int, frozenset[int]], row: list, closure: se
 
 @dataclass
 class DisjunctTrace:
-    """One union-normal-form disjunct as planned: its structure, join order,
-    the matrices its join reads (its own supernode ids around the shared
-    pruned BitMats) and residual filter conjuncts; ``execute`` sets stats."""
+    """One union-normal-form disjunct as planned: its structure, its own
+    pruned matrices and the pruning schedule that reduced them (None
+    unpruned), its join order and residual filter conjuncts; ``execute``
+    sets stats."""
 
     algebra: str
     gosn: Gosn
@@ -366,21 +365,19 @@ class DisjunctTrace:
     stps: list[int]
     matrices: dict[int, PatternMatrix]
     residual: list[ScopedConjunct]
+    schedule: "PruneSchedule | None"
     stats: JoinStats = field(default_factory=JoinStats)
 
 
 @dataclass
 class Plan:
-    """Everything ``execute`` needs: the pruned matrices of every pattern,
-    the pruning schedules and one ``DisjunctTrace`` per disjunct."""
+    """Everything ``execute`` needs: one ``DisjunctTrace`` per disjunct."""
 
     store: TripleStore
     config: RunConfig
     header: tuple[Variable, ...]  # all query variables
     rule3_used: bool
     disjuncts: list[DisjunctTrace]
-    schedules: list[tuple[str, PruneSchedule]]
-    matrices: dict[int, PatternMatrix]
 
 
 @dataclass
@@ -399,15 +396,6 @@ class EngineResult(Plan):
         return term_relation(self.keys, self.store)
 
 
-def union_free_components(node: PatternNode) -> list[PatternNode]:
-    """Maximal UNION-free subtrees, left to right."""
-    if not any(isinstance(sub, Union) for sub in iter_nodes(node)):
-        return [node]
-    if isinstance(node, Filter):
-        return union_free_components(node.inner)
-    return union_free_components(node.left) + union_free_components(node.right)
-
-
 def _reject_unsupported(query: Query) -> None:
     for tp in node_patterns(query.root):
         if isinstance(tp.p, Variable):
@@ -424,17 +412,15 @@ def _analyze(node: PatternNode) -> tuple[PatternNode, Gosn, Got, StructureReport
 
 
 def plan_query(query: Query, store: TripleStore, config: "RunConfig | None" = None) -> Plan:
-    """Everything before the joins: push filters, analyze each UNION-free
-    component and each union-normal-form disjunct, reject a disconnected
-    disjunct before any matrix loads, load and prune each component's
-    matrices (disjuncts share them), and fix each disjunct's join order."""
+    """Everything before the joins: push filters, expand to union normal
+    form, analyze each disjunct and reject a disconnected one before any
+    matrix loads, then load and prune each disjunct's own matrices, masters
+    first, and fix its join order."""
     config = config or RunConfig()
     _reject_unsupported(query)
     pushed = push_filters(query.root)
     unf = to_unf(pushed)
-    components = [_analyze(comp) for comp in union_free_components(pushed)]
-    # With no UNION the one component is the one disjunct: analyze it once.
-    disjuncts = components if len(components) == 1 else [_analyze(d) for d in unf.disjuncts]
+    disjuncts = [_analyze(d) for d in unf.disjuncts]
     for _, gosn, got, report, _ in disjuncts:
         if not report.connected:
             raise DisconnectedQueryError(
@@ -449,36 +435,20 @@ def plan_query(query: Query, store: TripleStore, config: "RunConfig | None" = No
                 "brute-force evaluator supports Cartesian queries"
             )
 
-    matrices: dict[int, PatternMatrix] = {}
-    schedules: list[tuple[str, PruneSchedule]] = []
-    applied_conjuncts: set[int] = set()
-    for norm, gosn, got, report, scoped in components:
-        comp_matrices, applied = load_matrices(store, gosn, got, scoped, prune=config.prune)
-        applied_conjuncts |= applied
-        if config.prune:
-            schedule = prune_triples(PruneContext(store, gosn, got, report, comp_matrices))
-            schedules.append((serialize(norm, _labels), schedule))
-        matrices.update(comp_matrices)
-
     traces: list[DisjunctTrace] = []
     for norm, gosn, got, report, scoped in disjuncts:
-        own = {idx: replace(matrices[idx], sid=sid) for idx, sid in gosn.sn_of_pattern.items()}
-        if config.nullify == "on":
-            nulreqd = True
-        elif config.nullify == "off":
-            nulreqd = False
-        else:
-            nulreqd = report.nb_required or not config.prune
+        matrices, applied = load_matrices(store, gosn, got, scoped, prune=config.prune)
+        schedule = prune_triples(PruneContext(store, gosn, got, report, matrices)) if config.prune else None
+        nulreqd = {"on": True, "off": False}.get(config.nullify, report.nb_required or not config.prune)
         if config.unsafe_order:
             stps = sorted(tp.index for tp in node_patterns(norm))
         else:
-            stps = build_stps(gosn, got, own)
-        residual = [sc for sc in scoped if id(sc.conjunct) not in applied_conjuncts]
-        traces.append(
-            DisjunctTrace(serialize(norm, _labels), gosn, got, report, nulreqd, stps, own, residual)
-        )
+            stps = build_stps(gosn, got, matrices)
+        residual = [sc for sc in scoped if id(sc.conjunct) not in applied]
+        algebra = serialize(norm, _labels)
+        traces.append(DisjunctTrace(algebra, gosn, got, report, nulreqd, stps, matrices, residual, schedule))
     header = tuple(sorted(node_vars(pushed), key=lambda v: v.name))
-    return Plan(store, config, header, unf.rule3_used, traces, schedules, matrices)
+    return Plan(store, config, header, unf.rule3_used, traces)
 
 
 def key_rows(join: MultiWayJoin, header: tuple[Variable, ...]) -> Iterator[tuple["int | None", ...]]:

@@ -27,8 +27,11 @@ def render_explain(query: Query, result: Plan, extra: "list[str] | None" = None)
     lines.append(f"disjunct_count={len(result.disjuncts)}")
     lines.append(f"rule3_used={_bool(result.rule3_used)}")
     lines.append(f"best_match_applied={_bool(isinstance(result, EngineResult) and result.best_match_applied)}")
-    for label, schedule in result.schedules:
-        lines.append(f"section=pruning {label}")
+    for trace in result.disjuncts:
+        schedule = trace.schedule
+        if schedule is None:
+            continue
+        lines.append(f"section=pruning {trace.algebra}")
         lines.append(f"regime={schedule.regime}")
         lines.append("sn_order=" + ",".join(f"SN{sid}" for sid in schedule.sn_order))
         for step in schedule.all_steps():

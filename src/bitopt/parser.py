@@ -24,12 +24,14 @@ from .algebra import (
     Or,
     PatternNode,
     Query,
+    QueryRejectedError,
     TriplePattern,
     Union,
     Variable,
     check_safe_filters,
     check_well_designed,
     node_vars,
+    top_conjuncts,
 )
 from .terms import Iri, Literal, parse_integer, unescape
 
@@ -40,6 +42,12 @@ DEFAULT_PREFIXES = {
     "rdfs": "http://www.w3.org/2000/01/rdf-schema#",
     "xsd": "http://www.w3.org/2001/XMLSchema#",
 }
+
+
+# Deepest nesting a query may have, while parsed and as a tree (see
+# ``nesting_depth``): the recursive walks stay inside Python's recursion limit.
+MAX_NESTING = 100
+_TOO_DEEP = f"query nests deeper than {MAX_NESTING} levels"
 
 
 class QuerySyntaxError(ValueError):
@@ -110,6 +118,7 @@ class _Parser:
         self.pos = 0
         self.prefixes = dict(DEFAULT_PREFIXES)
         self.pattern_count = 0
+        self.depth = 0  # groups, parentheses and ! open at this point
 
     # -- token helpers ------------------------------------------------------
 
@@ -133,6 +142,11 @@ class _Parser:
         if not self.at_keyword(word):
             raise self.error(f"expected {word.upper()}")
         self.take()
+
+    def enter(self) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise QueryRejectedError(_TOO_DEEP)
 
     def expect_op(self, op: str) -> None:
         tok = self.peek()
@@ -167,6 +181,8 @@ class _Parser:
         root = self.parse_group()
         if self.peek().kind != "eof":
             raise self.error("trailing content after query")
+        if nesting_depth(root) > MAX_NESTING:
+            raise QueryRejectedError(_TOO_DEEP)
         scope = node_vars(root)
         for v in projection:
             if v not in scope:
@@ -177,6 +193,7 @@ class _Parser:
 
     def parse_group(self) -> PatternNode:
         self.expect_op("{")
+        self.enter()
         current: PatternNode | None = None
         pending_bgp: list[TriplePattern] = []
         filters: list[FilterExpr] = []
@@ -220,6 +237,7 @@ class _Parser:
             raise self.error("empty group pattern")
         for f in filters:
             current = Filter(current, f)
+        self.depth -= 1
         return current
 
     def parse_triple_pattern(self) -> TriplePattern:
@@ -283,15 +301,17 @@ class _Parser:
 
     def parse_unary(self) -> FilterExpr:
         tok = self.peek()
-        if tok.kind == "op" and tok.value == "!":
-            self.take()
-            return Not(self.parse_unary())
-        if tok.kind == "op" and tok.value == "(":
-            self.take()
+        if tok.kind != "op" or tok.value not in ("!", "("):
+            return self.parse_comparison()
+        self.take()
+        self.enter()
+        if tok.value == "!":
+            expr = Not(self.parse_unary())
+        else:
             expr = self.parse_or()
             self.expect_op(")")
-            return expr
-        return self.parse_comparison()
+        self.depth -= 1
+        return expr
 
     def parse_comparison(self) -> FilterExpr:
         lhs = self.parse_term(position="filter operand")
@@ -300,6 +320,21 @@ class _Parser:
             raise QuerySyntaxError(f"expected comparison operator, got {tok.value!r}", tok.line, tok.col)
         rhs = self.parse_term(position="filter operand")
         return Comparison(tok.value, lhs, rhs)
+
+
+def nesting_depth(node: PatternNode) -> int:
+    """Depth of the tree, counting a FILTER once per top-level conjunct,
+    since filter placement may give each conjunct a filter of its own.
+    Iterative, so it measures a tree too deep for the recursive walks."""
+    deepest, stack = 0, [(node, 1)]
+    while stack:
+        n, depth = stack.pop()
+        deepest = max(deepest, depth)
+        if isinstance(n, Filter):
+            stack.append((n.inner, depth + len(top_conjuncts(n.expr))))
+        elif not isinstance(n, Bgp):
+            stack += [(n.left, depth + 1), (n.right, depth + 1)]
+    return deepest
 
 
 def parse(text: str) -> Query:

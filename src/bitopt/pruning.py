@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import TriplePattern, Variable
+from .algebra import TriplePattern, Variable, node_patterns
 from .bitmat import BitArray, intersect_arrays
 from .patmat import PatternMatrix, apply_loadtime_conjunct, select_pattern_matrix
 from .rewriter import ScopedConjunct, is_loadtime
@@ -147,7 +147,7 @@ def load_matrices(
         key=lambda tp: (sn_rank[gosn.sn_of_pattern[tp.index]], tp.index),
     )
     scope_patterns = {
-        id(sc): {tp.index for tp in _scope_patterns(sc)} for sc in scoped_conjuncts
+        id(sc): {tp.index for tp in node_patterns(sc.scope)} for sc in scoped_conjuncts
     }
     matrices: dict[int, PatternMatrix] = {}
     applied: set[int] = set()
@@ -197,12 +197,6 @@ def _bound_values(
             fold = other.fold_var(var)
             mask = fold if mask is None else intersect_arrays(mask, fold, so_count)
     return mask
-
-
-def _scope_patterns(sc: ScopedConjunct):
-    from .algebra import node_patterns
-
-    return node_patterns(sc.scope)
 
 
 def _first_join_var(tp: TriplePattern, got: Got) -> "Variable | None":

@@ -166,10 +166,6 @@ def collect_scoped_conjuncts(root: PatternNode) -> list[ScopedConjunct]:
             for c in top_conjuncts(node.expr):
                 out.append(ScopedConjunct(c, node.inner, depth))
             return
-        if isinstance(node, Union):
-            walk(node.left, depth + 1)
-            walk(node.right, depth + 1)
-            return
         walk(node.left, depth + 1)
         walk(node.right, depth + 1)
 

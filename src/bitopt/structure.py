@@ -16,13 +16,14 @@ from .algebra import (
     Filter,
     LeftJoin,
     PatternNode,
+    QueryRejectedError,
     TriplePattern,
     Union,
     Variable,
 )
 
 
-class DisconnectedQueryError(ValueError):
+class DisconnectedQueryError(QueryRejectedError):
     """Cartesian query; only the brute-force evaluator handles these."""
 
 

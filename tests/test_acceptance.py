@@ -212,7 +212,7 @@ def test_criterion_5_minimality():
         checked += 1
         oracle_rows = oracle_eval(query, store.term_triples()).rows
         for tp in node_patterns(query.root):
-            pm = result.matrices[tp.index]
+            pm = trace.matrices[tp.index]
             for binding in cell_bindings(pm, store.dictionary):
                 if not any(
                     all(row.get(v) == t for v, t in binding.items())

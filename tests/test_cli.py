@@ -264,6 +264,39 @@ class TestQuery:
         assert len(err) == 1 and err[0].startswith("error: syntax: "), err
         assert captured.out == ""
 
+    def test_query_file_not_utf8(self, tmp_path, store_dir, capsys):
+        qpath = tmp_path / "bad.rq"
+        qpath.write_bytes('SELECT ?x WHERE { ?x :p "\xff" }'.encode("latin-1"))
+        assert main(["query", str(store_dir), str(qpath)]) == EXIT_IO
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert "bad.rq: not UTF-8" in err[0] and "byte 26" in err[0], err
+        assert captured.out == ""
+
+    # Each shape at the nesting limit runs; one more level is rejected.
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            lambda n: f"?x :hasFriend ?y FILTER ({'(' * (n - 1)}?y != ?x{')' * (n - 1)})",
+            lambda n: "?x :hasFriend ?y0 " + "".join(f"OPTIONAL {{ ?y{i} :actedIn ?y{i + 1} " for i in range(n - 1)) + "}" * (n - 1),
+            lambda n: "?x :hasFriend ?y OPTIONAL { ?y :actedIn ?z } FILTER (" + " && ".join(["?z != ?x"] * (n - 2)) + ")",
+            lambda n: " UNION ".join(["{ ?x :hasFriend ?y }"] * n),
+        ],
+        ids=["parentheses", "nested-optionals", "conjuncts", "union-branches"],
+    )
+    def test_nesting_limit(self, tmp_path, store_dir, capsys, shape):
+        from bitopt.parser import MAX_NESTING
+
+        for depth, code in ((MAX_NESTING, EXIT_OK), (MAX_NESTING + 1, EXIT_REJECTED)):
+            qpath = write_query(tmp_path, f"SELECT ?x WHERE {{ {shape(depth)} }}")
+            assert main(["query", str(store_dir), qpath]) == code, depth
+            err = capsys.readouterr().err.splitlines()
+            if code == EXIT_OK:
+                assert err == []
+            else:
+                assert err == [f"error: rejected: query nests deeper than {MAX_NESTING} levels"]
+
     def test_unsafe_order_requires_no_prune(self, tmp_path, store_dir):
         qpath = write_query(tmp_path, Q1_TEXT)
         assert main(["query", str(store_dir), qpath, "--unsafe-order"]) == EXIT_IO

@@ -1,6 +1,6 @@
 """Shapes the random corpus underweights: two-variable join labels,
 repeated variables, the greedy-absolute-master regime, mixed-arity unions,
-an empty shared coordinate space, and the explain golden."""
+an empty shared coordinate space, and the explain goldens."""
 
 import random
 
@@ -55,7 +55,7 @@ class TestPairJoins:
         q = parse("SELECT ?a ?b WHERE { ?a :p ?b . ?a :q ?b }")
         result = run_query(q, store)
         assert result.relation.rows == []
-        for pm in result.matrices.values():
+        for pm in result.disjuncts[0].matrices.values():
             assert pm.count == 0
 
 
@@ -112,7 +112,7 @@ class TestGreedyAbsRegime:
         assert trace.report.abs_only_cycles
         assert not trace.report.nb_required
         assert pick_regime(trace.report) == GREEDY_ABS
-        assert result.schedules[0][1].regime == GREEDY_ABS
+        assert trace.schedule.regime == GREEDY_ABS
         assert normalized(result.relation.project(q.projection)) == normalized(
             oracle_relation(q, store)
         )
@@ -128,9 +128,7 @@ class TestGreedyAbsRegime:
                 result = run_query(q, store)
             except DisconnectedQueryError:
                 continue
-            if any(
-                s.regime == GREEDY_ABS for _, s in result.schedules
-            ):
+            if any(t.schedule.regime == GREEDY_ABS for t in result.disjuncts):
                 hits += 1
             assert normalized(result.relation.project(q.projection)) == normalized(
                 oracle_relation(q, store)
@@ -256,4 +254,64 @@ class TestExplainGolden:
             "nb_required=false\n"
             "nullification=false\n"
             "stps=T1,T2,T3\n"
+        )
+
+    def test_rule3_report_prunes_each_disjunct(self):
+        # A UNION on the slave side of an OPTIONAL: each union-normal-form
+        # disjunct is pruned on its own, its branch against the master.
+        store = TripleStore.from_ntriples(
+            nt(("p1", "w", "d1"), ("p2", "w", "d2"), ("x1", "a", "p1"), ("x2", "a", "p9"), ("x3", "b", "p2"))
+        )
+        q = parse("SELECT ?p ?d ?x WHERE { ?p :w ?d . OPTIONAL { { ?x :a ?p } UNION { ?x :b ?p } } }")
+        result = run_query(q, store)
+        assert rows_of(result.relation.project(q.projection)) == [("p1", "d1", "x1"), ("p2", "d2", "x3")]
+        structure = (
+            "connected=true\n"
+            "well_designed=true\n"
+            "got_acyclic=true\n"
+            "fully_reducible=true\n"
+            "supernodes_acyclic=true\n"
+            "supernodes_connected=true\n"
+            "supernodes_reducible=true\n"
+            "slaves_acyclic=true\n"
+            "slaves_reducible=true\n"
+            "abs_only_cycles=false\n"
+            "one_equiv_class_per_master_slave_pair=true\n"
+            "nb_required=false\n"
+            "nullification=false\n"
+        )
+        assert render_explain(q, result) == (
+            "explain-format=1\n"
+            "section=query\n"
+            "algebra=P1 ⟕ (P2 ∪ P3)\n"
+            "projection=?p,?d,?x\n"
+            "distinct=false\n"
+            "section=unf\n"
+            "disjunct_count=2\n"
+            "rule3_used=true\n"
+            "best_match_applied=true\n"
+            "section=pruning {T1} ⟕ {T2}\n"
+            "regime=per-supernode\n"
+            "sn_order=SN1,SN2\n"
+            "step=T2 ⋉ T1 over {?p}  (master transfer)\n"
+            "section=pruning {T1} ⟕ {T3}\n"
+            "regime=per-supernode\n"
+            "sn_order=SN1,SN2\n"
+            "step=T3 ⋉ T1 over {?p}  (master transfer)\n"
+            "section=disjunct.1\n"
+            "algebra={T1} ⟕ {T2}\n"
+            "supernode=SN1 patterns=T1 absolute_master\n"
+            "supernode=SN2 patterns=T2\n"
+            "gosn.uni=SN1->SN2\n"
+            "got.edge=T1-T2 {?p}\n"
+            + structure
+            + "stps=T1,T2\n"
+            "section=disjunct.2\n"
+            "algebra={T1} ⟕ {T3}\n"
+            "supernode=SN1 patterns=T1 absolute_master\n"
+            "supernode=SN2 patterns=T3\n"
+            "gosn.uni=SN1->SN2\n"
+            "got.edge=T1-T3 {?p}\n"
+            + structure
+            + "stps=T1,T3\n"
         )

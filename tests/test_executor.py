@@ -398,6 +398,21 @@ class TestOracleEquivalence:
             assert [normalized(e) for e in engines] == [expected, expected], f"seed {seed}"
         assert ran >= 40
 
+    def test_slave_union_agreement(self):
+        # Rule-3 shapes, root ⟕ (A ∪ B), some under a FILTER: each disjunct
+        # loads its branch masked by the master, and minimum union merges them.
+        cfg = GenConfig(p_optional=0.6, p_slave_union=0.6, p_filter=0.3)
+        rule3 = 0
+        for seed in range(60):
+            rng = random.Random(seed)
+            store = TripleStore.from_ntriples(random_store_text(rng, cfg))
+            q = random_query(rng, cfg)
+            results = [run_query(q, store, config) for config in (RunConfig(), TEXTUAL_ORDER)]
+            rule3 += results[0].rule3_used
+            expected = normalized(oracle_relation(q, store))
+            assert [normalized(r.relation.project(q.projection)) for r in results] == [expected, expected], f"seed {seed}"
+        assert rule3 >= 20
+
 
 class TestReusedIdRange:
     """Ids above n_so name a subject-only term on the subject dimension and
@@ -505,3 +520,74 @@ class TestPlanOnce:
             calls.clear()
             run_query(parse(text), filter_store)
             assert len(calls) == 1, text
+
+    def test_each_disjunct_is_analyzed_once(self, monkeypatch):
+        import bitopt.executor
+
+        calls = []
+        real = bitopt.executor.build_gosn
+
+        def counted(node):
+            calls.append(node)
+            return real(node)
+
+        monkeypatch.setattr(bitopt.executor, "build_gosn", counted)
+        store = TripleStore.from_ntriples(f"<{EX}a> <{EX}p> <{EX}b> .\n")
+        text = "SELECT ?x ?y ?z WHERE { ?x :p ?y . OPTIONAL { { ?y :q ?z } UNION { ?y :r ?z } } { ?x :s ?w } UNION { ?x :t ?w } }"
+        result = run_query(parse(text), store)
+        assert len(result.disjuncts) == 4
+        assert len(calls) == 4
+
+
+class TestUnionBranchesLoadMasked:
+    """Each union-normal-form disjunct loads its own matrices, masters
+    first, so a UNION branch and a pattern beside a UNION are read masked
+    by the patterns already loaded in their disjunct."""
+
+    @staticmethod
+    def outer_reads(monkeypatch) -> list[tuple[str, int]]:
+        """(kind, predicate id) of each ``TripleStore.bitmat`` call made from
+        outside the store."""
+        reads: list[tuple[str, int]] = []
+        depth = [0]
+        real = TripleStore.bitmat
+
+        def spy(store, kind, pid, keep=None):
+            if not depth[0]:
+                reads.append((kind, pid))
+            depth[0] += 1
+            try:
+                return real(store, kind, pid, keep)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(TripleStore, "bitmat", spy)
+        return reads
+
+    @staticmethod
+    def store(*triples) -> TripleStore:
+        return TripleStore.from_ntriples("".join(f"<{EX}{s}> <{EX}{p}> <{EX}{o}> .\n" for s, p, o in triples))
+
+    def test_slave_union_branches_read_masked(self, monkeypatch):
+        store = self.store(
+            ("p1", "w", "d1"), ("p2", "w", "d2"), ("x1", "a", "p1"), ("x2", "a", "p9"),
+            ("x3", "b", "p2"), ("x4", "b", "p8"),
+        )
+        reads = self.outer_reads(monkeypatch)
+        q = parse("SELECT ?p ?d ?x WHERE { ?p :w ?d . OPTIONAL { { ?x :a ?p } UNION { ?x :b ?p } } }")
+        result = run_query(q, store)
+        assert rows_of(result.relation.project(q.projection)) == [("p1", "d1", "x1"), ("p2", "d2", "x3")]
+        for name in ("a", "b"):
+            kinds = [kind for kind, pid in reads if pid == store.dictionary.predicate_id(Iri(EX + name))]
+            assert kinds and all(kind.endswith("_MASKED") for kind in kinds), (name, kinds)
+
+    def test_pattern_beside_union_read_masked_in_each_disjunct(self, monkeypatch):
+        store = self.store(
+            ("x1", "w", "d"), ("x2", "m", "d"), ("x1", "age", "a1"), ("x2", "age", "a2"), ("x3", "age", "a3"),
+        )
+        reads = self.outer_reads(monkeypatch)
+        q = parse("SELECT ?x ?a WHERE { { ?x :w :d } UNION { ?x :m :d } ?x :age ?a . }")
+        result = run_query(q, store)
+        assert rows_of(result.relation.project(q.projection)) == [("x1", "a1"), ("x2", "a2")]
+        age = store.dictionary.predicate_id(Iri(EX + "age"))
+        assert [kind for kind, pid in reads if pid == age] == ["SO_MASKED", "SO_MASKED"]

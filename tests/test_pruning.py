@@ -212,7 +212,7 @@ class TestPruneTriples:
             checked += 1
             oracle_rows = oracle_eval(q, store.term_triples()).rows
             for tp in node_patterns(q.root):
-                pm = result.matrices[tp.index]
+                pm = trace.matrices[tp.index]
                 for binding in cell_bindings(pm, store.dictionary):
                     assert any(
                         all(row.get(v) == t for v, t in binding.items())

@@ -2,12 +2,13 @@
 
 Queries are grown so the guarantees the engine relies on hold by
 construction: optional blocks anchor on a master-spine variable and stay
-internally connected, union branches bind identical variable sets, filters
-only mention in-scope variables. A pattern with a constant subject or
-object joins the query through its one variable; none is ground. Acyclic
-shapes grow as trees (each new pattern shares exactly one variable with one
-earlier pattern); cyclic shapes close triangles either inside the absolute
-master or across a master-slave pair.
+internally connected, union branches bind the same shared variable,
+whether the union joins the master or is an optional block (the rule-3
+shape), and filters only mention in-scope variables. A pattern with a
+constant subject or object joins the query through its one variable; none
+is ground. Acyclic shapes grow as trees (each new pattern shares exactly
+one variable with one earlier pattern); cyclic shapes close triangles
+either inside the absolute master or across a master-slave pair.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ class GenConfig:
     p_second_optional: float = 0.3
     p_nested_optional: float = 0.25
     p_union: float = 0.0
+    p_slave_union: float = 0.0  # root ⟕ (A ∪ B), the rule-3 shape
     p_filter: float = 0.0
     p_cycle: float = 0.0
     p_peer_join: float = 0.15
@@ -189,25 +191,12 @@ def random_query(rng: random.Random, cfg: GenConfig) -> Query:
     cycle_master = (not cfg.acyclic_only) and rng.random() < cfg.p_cycle
     patterns, master_vars = _grow_bgp(b, [], master_size, cycle_master)
     root: PatternNode = Bgp(tuple(patterns))
-    union_private: set[Variable] = set()
+    union_private: frozenset[Variable] = frozenset()
 
     if cfg.p_union and rng.random() < cfg.p_union and b.budget() >= 2:
-        x = rng.choice(master_vars)
-        y = b.fresh_var()
-        left = Bgp((b.make_pattern(x, b.rand_pred(), y),))
-        if b.budget() >= 2 and rng.random() < 0.5:
-            mid = b.fresh_var()
-            right = Bgp(
-                (
-                    b.make_pattern(x, b.rand_pred(), mid),
-                    b.make_pattern(mid, b.rand_pred(), y),
-                )
-            )
-        else:
-            right = Bgp((b.make_pattern(x, b.rand_pred(), y),))
-        root = Join(root, Union(left, right))
+        union, y, union_private = _union(b, rng.choice(master_vars))
+        root = Join(root, union)
         master_vars.append(y)
-        union_private = (node_vars(left) | node_vars(right)) - (node_vars(left) & node_vars(right))
 
     if rng.random() < cfg.p_peer_join and b.budget() >= 2 and not cfg.p_union:
         # (A lj B) j (C lj D): peers coalesce into one absolute master.
@@ -235,6 +224,16 @@ def random_query(rng: random.Random, cfg: GenConfig) -> Query:
         if rng.random() < cfg.p_second_optional and b.budget() >= 1:
             root = LeftJoin(root, _optional_block(b, rng.choice(master_vars), 1))
 
+    if cfg.p_slave_union and rng.random() < cfg.p_slave_union and b.budget() >= 2:
+        # root ⟕ (A ∪ B): distributing this union is rule 3, sound only up
+        # to minimum union. Sometimes under a FILTER, which may test the
+        # branches' shared variable.
+        union, _, private = _union(b, rng.choice(master_vars))
+        root = LeftJoin(root, union)
+        union_private |= private
+        if rng.random() < 0.5:
+            root = Filter(root, _random_filter(b, sorted(node_vars(root) - union_private, key=lambda v: v.name)))
+
     if cfg.p_filter and rng.random() < cfg.p_filter:
         pool = sorted(node_vars(root) - union_private, key=lambda v: v.name)
         root = Filter(root, _random_filter(b, pool))
@@ -246,6 +245,26 @@ def random_query(rng: random.Random, cfg: GenConfig) -> Query:
     check_safe_filters(query.root)
     check_well_designed(query.root)
     return query
+
+
+def _union(b: _Builder, x: Variable) -> tuple[Union, Variable, frozenset[Variable]]:
+    """{x p y} ∪ {x p y}, or a two-pattern chain from x to y on the right:
+    the union, y, and the variables private to one branch."""
+    rng = b.rng
+    y = b.fresh_var()
+    left = Bgp((b.make_pattern(x, b.rand_pred(), y),))
+    if b.budget() >= 2 and rng.random() < 0.5:
+        mid = b.fresh_var()
+        right = Bgp(
+            (
+                b.make_pattern(x, b.rand_pred(), mid),
+                b.make_pattern(mid, b.rand_pred(), y),
+            )
+        )
+    else:
+        right = Bgp((b.make_pattern(x, b.rand_pred(), y),))
+    private = (node_vars(left) | node_vars(right)) - (node_vars(left) & node_vars(right))
+    return Union(left, right), y, private
 
 
 def _random_filter(b: _Builder, scope: list[Variable]):
