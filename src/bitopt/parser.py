@@ -48,6 +48,10 @@ DEFAULT_PREFIXES = {
 # ``nesting_depth``): the recursive walks stay inside Python's recursion limit.
 MAX_NESTING = 100
 _TOO_DEEP = f"query nests deeper than {MAX_NESTING} levels"
+# Most disjuncts a query's union-normal form may have (see ``unf_size``):
+# each one is planned, loaded and pruned on its own. A chain of UNION
+# branches at the nesting limit fits.
+MAX_DISJUNCTS = 128
 
 
 class QuerySyntaxError(ValueError):
@@ -183,6 +187,8 @@ class _Parser:
             raise self.error("trailing content after query")
         if nesting_depth(root) > MAX_NESTING:
             raise QueryRejectedError(_TOO_DEEP)
+        if unf_size(root) > MAX_DISJUNCTS:
+            raise QueryRejectedError(f"query has more than {MAX_DISJUNCTS} union-normal-form disjuncts")
         scope = node_vars(root)
         for v in projection:
             if v not in scope:
@@ -335,6 +341,18 @@ def nesting_depth(node: PatternNode) -> int:
         elif not isinstance(n, Bgp):
             stack += [(n.left, depth + 1), (n.right, depth + 1)]
     return deepest
+
+
+def unf_size(node: PatternNode) -> int:
+    """How many disjuncts ``rewriter.to_unf`` makes of the tree, counted
+    without building any: a UNION adds its branches' counts, a join or
+    OPTIONAL multiplies them."""
+    if isinstance(node, Bgp):
+        return 1
+    if isinstance(node, Filter):
+        return unf_size(node.inner)
+    left, right = unf_size(node.left), unf_size(node.right)
+    return left + right if isinstance(node, Union) else left * right
 
 
 def parse(text: str) -> Query:

@@ -10,15 +10,16 @@ The S-O matrix of each predicate is the only copy of the triples, in memory
 and on disk. In memory it is the bytes of its file, read once, by ``open``
 or from the encoder; the predicate's first use views them as words and
 builds a row-offset table, which is never stored. A read decodes only the
-rows it returns, each into an ``int`` (see ``bitmat``); the run-length and
-position encoding of a row in a file is known to this module only. Every
-read returns an S-O or O-S matrix over the subject and object spaces. A
-masked read returns only the rows its mask keeps: S-O rows decoded one by
-one, or O-S rows built as column reads, which search the file's bytes for
-the column's word. So the pattern ``(:s :p ?o)`` reads row s, and
-``(?s :p :o)`` one column, o. A whole matrix, and its O-S transpose, is
-decoded and cached only for an unmasked read, or for a masked O-S read of
-several columns that would cost more to read one by one.
+rows it returns, each into an ``int`` (see ``bitmat``); a row's file
+encoding, its index, its length and its set positions, is known to this
+module only. Every read returns an S-O or O-S matrix over the subject and
+object spaces. A masked read returns only the rows its mask keeps: S-O
+rows decoded one by one, or O-S rows built as column reads, which search
+the file's bytes for the column's word. So the pattern ``(:s :p ?o)``
+reads row s, and ``(?s :p :o)`` one column, o. A whole matrix, and its O-S
+transpose, is decoded and cached only for an unmasked read, or for a
+masked O-S read of several columns that would cost more to read one by
+one.
 
 A saved store is a directory holding ``dict.tsv``, one ``bm_so_<pid>.bin``
 per predicate and ``manifest.txt``: a format-version line, a ``dict.tsv``
@@ -53,7 +54,6 @@ from . import bitmat
 from .bitmat import (
     BitArray,
     BitMat,
-    DimensionMismatchError,
     align_mask,
     row_from_mask,  # unused here; the benchmark counts its calls under this name
     row_from_positions,
@@ -248,11 +248,13 @@ class Dictionary:
 
 
 SO_KIND_CODE = 0  # kind word of a stored matrix; only S-O matrices are stored
-MANIFEST_VERSION = "bitopt-store-format 3"  # first line of manifest.txt
+MANIFEST_VERSION = "bitopt-store-format 4"  # first line of manifest.txt
 _STORE_FILE = re.compile(r"dict\.tsv|manifest\.txt|bm_so_\d+\.bin")
-# A column read searches each position row instead of the file's bytes when
-# the bytes hold more than this many hits per stored row. On LUBM at 36.7k
-# triples a hit costs 1.0-1.5 us and a searched row 0.55-0.8 us.
+# A column read searches each row instead of the file's bytes when the bytes
+# hold more than this many hits per stored row. The false hits are length
+# words, for a small column, and row index words; no column gets one per
+# row. On LUBM at 36.7k triples a hit costs 1.0-1.5 us and a searched row
+# 0.55-0.8 us.
 _HITS_PER_ROW = 0.5
 
 
@@ -508,38 +510,6 @@ def _parse_rendered_term(rendered: str) -> Term:
     return Literal(int(rendered))
 
 
-def _row_words(ones: list[int], width: int) -> list[int]:
-    """The file words of the row of ``width`` bits whose set positions are
-    ``ones`` (strictly increasing, 1-based): its tag, payload length and
-    payload. The payload is the row's run lengths, alternating from the bit
-    of position 1 (tag 0 or 1: that bit), or its set positions (tag 2),
-    whichever holds fewer words; positions win only when strictly fewer. So
-    1110011110 is the runs 3 2 4 1 with tag 1, and 0010010000 the positions
-    3 6."""
-    if ones and (ones[0] < 1 or ones[-1] > width):
-        raise DimensionMismatchError("position outside the row width")
-    if len(ones) == 1 < width:  # one set bit takes two or three runs
-        return [2, 1, ones[0]]
-    runs = []
-    end = 0  # positions 1..end are covered by ``runs`` and ``set_run``
-    set_run = 0
-    for pos in ones:
-        if pos > end + 1:
-            if set_run:
-                runs.append(set_run)
-            runs.append(pos - end - 1)
-            set_run = 0
-        set_run += 1
-        end = pos
-    if set_run:
-        runs.append(set_run)
-    if end < width:
-        runs.append(width - end)
-    if len(ones) < len(runs):
-        return [2, len(ones), *ones]
-    return [1 if ones and ones[0] == 1 else 0, len(runs), *runs]
-
-
 def _encode_matrix(pid: int, rows: dict[int, list[int]], n_rows: int, n_cols: int) -> bytes:
     """The file of S-O(pid), from its object ids per subject id. The ids
     come from the dictionary, so none is outside the matrix."""
@@ -552,13 +522,8 @@ def _encode_matrix(pid: int, rows: dict[int, list[int]], n_rows: int, n_cols: in
             oids = sorted(set(oids))
         cols.update(oids)
         count += len(oids)
-        body.append(sid)
-        body += _row_words(oids, n_cols)
-    words = [SO_KIND_CODE, pid, n_rows, n_cols, count]
-    words += _row_words(sorted(rows), max(n_rows, 1))
-    words += _row_words(sorted(cols), max(n_cols, 1))
-    words.append(len(rows))
-    words += body
+        body += (sid, len(oids), *oids)
+    words = [SO_KIND_CODE, pid, n_rows, n_cols, count, len(cols), len(rows), *body]
     return struct.pack(f"<{len(words)}I", *words)
 
 
@@ -579,7 +544,7 @@ def _read_checked(path: str, size: int, crc: int) -> bytes:
 def _check_header(data: bytes, d: Dictionary) -> int:
     """Check a matrix file's header words against the dictionary; returns
     the predicate id."""
-    if len(data) % 4 or len(data) < 24:
+    if len(data) % 4 or len(data) < 28:
         raise StoreError(f"truncated to {len(data)} bytes")
     kind_code, pid, n_rows, n_cols = struct.unpack_from("<4I", data)
     if kind_code != SO_KIND_CODE:
@@ -595,19 +560,15 @@ class _MatrixWords:
     """One S-O matrix file as its words, and a row-offset table that is
     built when the predicate is first used and never stored.
 
-    A file holds the header words (kind code, predicate id, n_rows, n_cols,
-    triple count), the non-empty row and column masks as two encoded rows,
-    the number of stored rows, then each stored row in ascending order: its
-    index, its tag (0/1: run-length row with that start bit, 2: position
-    row), its payload length and its payload. Building the table checks the
-    header against the dictionary and the file's structure: ascending row
-    indexes inside 1..n_rows, non-empty rows, valid tags, run-length rows
-    whose runs cover the width, and no word after the last row. It also
-    counts the set bits, a position row by its payload length and a
-    run-length row by its set runs, and checks the header's triple count
-    against that total. A position row's positions are checked when a
-    read first decodes the row, so a bad row is reported only by a read
-    that returns it. Decoded rows and read columns are kept.
+    A file holds seven header words (kind code, predicate id, n_rows,
+    n_cols, triple count, non-empty column count, number of stored rows),
+    then each stored row in ascending order: its index, its length and its
+    set positions, ascending. Building the table checks the header against
+    the dictionary and the file's structure: ascending row indexes inside
+    1..n_rows, non-zero lengths, no word after the last row, and lengths
+    that sum to the header's triple count. A row's positions are checked
+    when a read first decodes the row, so a bad row is reported only by a
+    read that returns it. Decoded rows and read columns are kept.
     """
 
     def __init__(self, path: str, data: bytes, d: Dictionary):
@@ -623,55 +584,39 @@ class _MatrixWords:
             words = array("I", data)
             words.byteswap()
         self.words = words
-        self.n_rows, self.n_cols, self.count = n_rows, n_cols, count = words[2:5]
+        n_rows, n_cols, count, cols_set, n_stored = words[2:7]
+        self.n_rows, self.n_cols, self.count = n_rows, n_cols, count
         self._rows: dict[int, int] = {}  # row index -> row, once decoded
         self._cols: dict[int, "int | None"] = {}  # column -> its rows, once read
-        self.offsets: list[int] = []  # word offset of each stored row's tag word
-        self.rle: list[int] = []  # places in ``offsets`` of the run-length rows
-        offsets, rle = self.offsets, self.rle
-        at = 5
+        self.offsets: list[int] = []  # word offset of each stored row's length word
+        offsets = self.offsets
+        at = 7
         try:
-            at += 2 + words[at + 1]  # the non-empty row mask; recomputable
-            tag, length = words[at], words[at + 1]  # the non-empty column mask
-            cols_set = length if tag == 2 else sum(words[at + 3 - tag : at + 2 + length : 2])
-            at += 2 + length
-            n_stored = words[at]
-            at += 1
-            # A stored row: index, tag, payload length, payload. This loop is
-            # most of a predicate's first use, so it only steps from row to
-            # row; the header words are checked below.
-            for place in range(n_stored):
+            # This loop is most of a predicate's first use, so it only steps
+            # from row to row; the words it steps over are checked below.
+            for _ in range(n_stored):
                 offsets.append(at + 1)
-                if words[at + 1] != 2:
-                    rle.append(place)
-                at += 3 + words[at + 2]
-        except IndexError:  # a count word points past the end
+                at += 2 + words[at + 1]
+        except IndexError:  # a length word points past the end
             raise StoreError(f"{path}: truncated S-O matrix") from None
         if at > len(words):
             raise StoreError(f"{path}: truncated S-O matrix")
         if at < len(words):
             raise self._corrupt(f"{len(words) - at} words after the last row")
         ids = self.ids = [words[o - 1] for o in offsets]  # stored row indexes, ascending
-        lengths = [words[o + 1] for o in offsets]
+        lengths = [words[o] for o in offsets]
         if ids and not (0 < ids[0] and ids[-1] <= n_rows and all(map(lt, ids, ids[1:])) and min(lengths)):
             raise self._corrupt(f"row indexes or lengths do not fit {n_rows}x{n_cols}")
-        total = sum(lengths)  # a position row's bits; run-length rows corrected below
-        for place in rle:
-            at = offsets[place]
-            tag, runs = words[at], words[at + 2 : at + 2 + lengths[place]]
-            if tag > 1 or sum(runs) != n_cols:
-                raise self._corrupt(f"row {ids[place]} does not fit {n_rows}x{n_cols}")
-            total += sum(runs[1 - tag :: 2]) - len(runs)
+        total = sum(lengths)
         if total != count:
             raise self._corrupt(f"header count {count} != stored bits {total}")
         # How many columns a masked O-S read reads one by one before a whole
         # decode and transpose costs less. The costs, in microseconds, were
         # fitted on the predicates of LUBM at 36.7k triples (README,
         # "Storage"): a column read costs 30, plus 0.008 per word for the
-        # two searches of the bytes, 2.5 per expected hit and 1.5 per
-        # run-length row tested; a whole decode and transpose costs 0.65 per
-        # word and 1.75 per non-empty column.
-        column_us = 30 + 0.008 * len(words) + 2.5 * count / max(cols_set, 1) + 1.5 * len(rle)
+        # two searches of the bytes and 2.5 per expected hit; a whole decode
+        # and transpose costs 0.65 per word and 1.75 per non-empty column.
+        column_us = 30 + 0.008 * len(words) + 2.5 * count / max(cols_set, 1)
         self.column_budget = (0.65 * len(words) + 1.75 * cols_set) / column_us
 
     def _corrupt(self, why: str) -> StoreError:
@@ -682,27 +627,17 @@ class _MatrixWords:
         row = self._rows.get(self.ids[place])
         if row is not None:
             return row
-        words = self.words
         at = self.offsets[place]
-        tag, length = words[at], words[at + 1]
-        payload = words[at + 2 : at + 2 + length]
-        if tag == 2:
-            prev = 0  # the positions must increase from 1 to at most n_cols
-            for pos in payload:
-                if pos <= prev:
-                    prev = self.n_cols + 1
-                    break
-                prev = pos
-            if prev > self.n_cols:
-                raise self._corrupt(f"row {self.ids[place]} does not fit {self.n_rows}x{self.n_cols}")
-            row = row_from_positions(payload)
-        else:  # one block of ones per set run: few runs, as in every LUBM run-length row
-            row, end = 0, 0
-            for i, length in enumerate(payload):
-                if (i & 1) ^ tag:
-                    row += ((1 << length) - 1) << end
-                end += length
-        self._rows[self.ids[place]] = row
+        positions = self.words[at + 1 : at + 1 + self.words[at]]
+        prev = 0  # the positions must increase from 1 to at most n_cols
+        for pos in positions:
+            if pos <= prev:
+                prev = self.n_cols + 1
+                break
+            prev = pos
+        if prev > self.n_cols:
+            raise self._corrupt(f"row {self.ids[place]} does not fit {self.n_rows}x{self.n_cols}")
+        row = self._rows[self.ids[place]] = row_from_positions(positions)
         return row
 
     def row_of(self, idx: int) -> "int | None":
@@ -763,48 +698,35 @@ class _MatrixWords:
     def _column_places(self, col: int) -> list[int]:
         """The places in ``ids`` of the rows that hold bit ``col``.
 
-        Position rows are found by searching the file's bytes for the
-        column's word: a hit on a word boundary inside a position row's
-        payload is that row's bit. Every row's tag word is a hit for column
-        2, and a short row's length word for a small column, so when the
-        bytes hold more hits than ``_HITS_PER_ROW`` per stored row, each
-        position row is searched instead, in the payload words that can
-        hold ``col`` (positions rise from 1, so at most the first ``col``).
-        Run-length rows are tested one by one."""
+        Rows are found by searching the file's bytes for the column's word:
+        a hit on a word boundary inside a row's positions is that row's bit.
+        A short row's length word is a hit for a small column, and a row's
+        index word for the column of that number, so when the bytes hold
+        more hits than ``_HITS_PER_ROW`` per stored row, each row is
+        searched instead, in the positions that can hold ``col`` (positions
+        rise from 1, so at most the first ``col``)."""
         data, words, offsets = self.data, self.words, self.offsets
         needle = struct.pack("<I", col)
-        start = 4 * (offsets[0] + 2)  # the first stored row's payload
+        start = 4 * (offsets[0] + 1)  # the first stored row's positions
         if data.count(needle, start) > _HITS_PER_ROW * len(offsets):
-            places = [
+            return [
                 place
                 for place, at in enumerate(offsets)
-                if words[at] == 2
-                and (hi := at + 2 + min(words[at + 1], col)) > (i := bisect_left(words, col, at + 2, hi))
+                if (hi := at + 1 + min(words[at], col)) > (i := bisect_left(words, col, at + 1, hi))
                 and words[i] == col
             ]
-        else:
-            places = []
-            at = data.find(needle, start)
-            while at >= 0:
-                resume = at + 1
-                if not at & 3:
-                    word = at >> 2
-                    place = bisect_right(offsets, word) - 1
-                    tag_at = offsets[place]
-                    end = tag_at + 2 + words[tag_at + 1]
-                    if word < end:  # in the row at ``place``, not the next one's index word
-                        if words[tag_at] != 2:
-                            resume = 4 * end
-                        elif word < tag_at + 2:
-                            resume = 4 * (tag_at + 2)
-                        else:
-                            places.append(place)
-                            resume = 4 * end
-                at = data.find(needle, resume)
-        for place in self.rle:
-            at = offsets[place]
-            if _runs_test(words[at], words[at + 2 : at + 2 + words[at + 1]], col):
-                places.append(place)
+        places = []
+        at = data.find(needle, start)
+        while at >= 0:
+            resume = at + 1
+            if not at & 3:
+                word = at >> 2
+                place = bisect_right(offsets, word) - 1
+                end = offsets[place] + 1 + words[offsets[place]]
+                if offsets[place] < word < end:  # a position, not a length or the next row's index
+                    places.append(place)
+                    resume = 4 * end
+            at = data.find(needle, resume)
         return places
 
     def decode(self) -> BitMat:
@@ -813,18 +735,3 @@ class _MatrixWords:
         bm.rows = {idx: self.row(place) for place, idx in enumerate(self.ids)}
         bm.triple_count = self.count
         return bm
-
-
-def _runs_test(start_bit: int, runs, pos: int) -> bool:
-    """Whether bit ``pos`` is set in the run lengths ``runs`` whose first
-    run holds ``start_bit``. A position outside 1..width is never set."""
-    if pos < 1:
-        return False
-    end = 0
-    bit = start_bit
-    for length in runs:
-        end += length
-        if pos <= end:
-            return bool(bit)
-        bit ^= 1
-    return False

@@ -213,15 +213,25 @@ def build_gosn(root: PatternNode) -> Gosn:
 class Got:
     nodes: tuple[TriplePattern, ...]
     edges: dict[frozenset[int], frozenset[Variable]]  # {i,j} -> shared vars
+    # Pattern index -> (neighbor, label) pairs by neighbor, built once from
+    # ``edges`` so that ``incident`` costs the node's degree.
+    adjacent: dict[int, list[tuple[int, frozenset[Variable]]]] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        adjacent: dict[int, list[tuple[int, frozenset[Variable]]]] = {}
+        for pair, label in self.edges.items():
+            i, j = pair
+            adjacent.setdefault(i, []).append((j, label))
+            adjacent.setdefault(j, []).append((i, label))
+        for incident in adjacent.values():
+            incident.sort(key=lambda t: t[0])
+        self.adjacent = adjacent
 
     def incident(self, idx: int, alive: "set[int] | None" = None) -> list[tuple[int, frozenset[Variable]]]:
-        out = []
-        for pair, label in self.edges.items():
-            if idx in pair:
-                other = next(iter(pair - {idx}))
-                if alive is None or other in alive:
-                    out.append((other, label))
-        return sorted(out, key=lambda t: t[0])
+        incident = self.adjacent.get(idx, [])
+        if alive is None:
+            return list(incident)
+        return [t for t in incident if t[0] in alive]
 
     def neighbors(self, idx: int, alive: "set[int] | None" = None) -> list[int]:
         return [other for other, _ in self.incident(idx, alive)]
@@ -252,26 +262,23 @@ class Got:
 def build_got(gosn: Gosn) -> Got:
     """Label an undirected edge with the shared variables of every pattern
     pair that lives in one supernode or in a directly connected master-slave
-    pair."""
+    pair. Only patterns that share a variable are paired."""
     patterns = sorted(
         (tp for sn in gosn.supernodes.values() for tp in sn.patterns),
         key=lambda tp: tp.index,
     )
+    by_var: dict[Variable, list[TriplePattern]] = {}
+    for tp in patterns:
+        for var in tp.vars():
+            by_var.setdefault(var, []).append(tp)
+    sid = gosn.sn_of_pattern
     edges: dict[frozenset[int], frozenset[Variable]] = {}
-    allowed_pairs: set[frozenset[int]] = set()
-    for sn in gosn.supernodes.values():
-        for a, b in combinations(sn.patterns, 2):
-            allowed_pairs.add(frozenset((a.index, b.index)))
-    for m, s in gosn.uni_edges:
-        for a in gosn.supernodes[m].patterns:
-            for b in gosn.supernodes[s].patterns:
-                allowed_pairs.add(frozenset((a.index, b.index)))
-    by_index = {tp.index: tp for tp in patterns}
-    for pair in allowed_pairs:
-        i, j = sorted(pair)
-        shared = by_index[i].vars() & by_index[j].vars()
-        if shared:
-            edges[frozenset((i, j))] = frozenset(shared)
+    for var, sharing in by_var.items():
+        for a, b in combinations(sharing, 2):
+            sa, sb = sid[a.index], sid[b.index]
+            if sa == sb or (sa, sb) in gosn.uni_edges or (sb, sa) in gosn.uni_edges:
+                pair = frozenset((a.index, b.index))
+                edges[pair] = edges.get(pair, frozenset()) | {var}
     return Got(tuple(patterns), edges)
 
 

@@ -2,7 +2,6 @@
 fold/unfold/transpose/product primitives, checked against dense-matrix
 brute force."""
 
-import itertools
 import random
 from collections import defaultdict
 
@@ -23,25 +22,12 @@ from bitopt.bitmat import (
     transpose,
     unfold,
 )
-from bitopt.store import Dictionary, _encode_matrix, _MatrixWords, _row_words, _runs_test
+from bitopt.store import Dictionary, StoreError, _encode_matrix, _MatrixWords
 
 
 def ones_of(bits):
     """The set positions of a bit string or list: item i is position i + 1."""
     return [i for i, b in enumerate(bits, start=1) if b in (1, "1")]
-
-
-def encode(bits):
-    """The file words of the row of ``bits``: tag, payload length, payload."""
-    return _row_words(ones_of(bits), len(bits))
-
-
-def render(words):
-    """A row's file words as the paper writes the row: "[1] 3 2 4 1" for
-    run lengths whose first run is set, "3 6" for set positions."""
-    tag, _, *payload = words
-    text = " ".join(map(str, payload))
-    return text if tag == 2 else f"[{tag}] {text}"
 
 
 def stored_row(bits):
@@ -53,40 +39,32 @@ def stored_row(bits):
     return words, words.row_of(1) or 0
 
 
-def reference_words(bits):
-    """The hybrid rule stated directly: run lengths of the bits, or the set
-    positions when those are strictly fewer."""
-    bits = [int(b) for b in bits]
-    runs = [len(list(group)) for _, group in itertools.groupby(bits)]
-    ones = ones_of(bits)
-    if len(ones) < len(runs):
-        return [2, len(ones), *ones]
-    return [bits[0], len(runs), *runs]
+def encode(bits):
+    """The file words of row 1 holding ``bits``: its length and its set
+    positions, as a one-row matrix file stores them after its header and
+    the row's index."""
+    return list(stored_row(bits)[0].words[8:])
+
+
+def render(words):
+    """A row's file words as the paper writes a row of set positions:
+    "3 6"."""
+    return " ".join(map(str, words[1:]))
 
 
 class TestRowEncoding:
-    """The store's file encoding of a row."""
-
-    def test_run_length_worked_example(self):
-        words = encode("1110011110")
-        assert words == [1, 4, 3, 2, 4, 1]
-        assert render(words) == "[1] 3 2 4 1"
+    """The store's file encoding of a row: its length and its set
+    positions."""
 
     def test_set_positions_worked_example(self):
         words = encode("0010010000")
-        assert words == [2, 2, 3, 6]
+        assert words == [2, 3, 6]
         assert render(words) == "3 6"
 
     def test_all_zero_row_uses_empty_positions(self):
-        assert encode("00000") == [2, 0]
-
-    def test_all_ones_row_stays_run_length(self):
-        assert encode("11111") == [1, 1, 5]
-
-    def test_hybrid_rule_is_strict(self):
-        # One set bit, one run integer: positions need strictly fewer.
-        assert encode("1")[0] == 1
-        assert encode("10")[0] == 2
+        # An empty row is not stored: the file is its header alone.
+        words, row = stored_row("00000")
+        assert list(words.words) == [0, 1, 1, 5, 0, 0, 0] and row == 0
 
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=1024))
     @settings(max_examples=300)
@@ -94,10 +72,6 @@ class TestRowEncoding:
         _, row = stored_row(bits)
         assert row == sum(b << i for i, b in enumerate(bits))
         assert positions(row) == ones_of(bits)
-
-    @given(st.lists(st.integers(0, 1), min_size=1, max_size=256))
-    def test_hybrid_choice_matches_counts(self, bits):
-        assert encode(bits) == reference_words(bits)
 
     @given(st.integers(1, 200), st.integers(0, 2**64))
     def test_mask_round_trip(self, width, seed):
@@ -109,8 +83,8 @@ class TestRowEncoding:
 
 class TestRowFromPositions:
     """``row_from_positions`` builds the int of its positions, in any order,
-    and ``positions`` gives them back; the file words of those positions
-    follow the hybrid rule."""
+    and ``positions`` gives them back; a stored row's file words are its
+    length and those positions."""
 
     @staticmethod
     def _check(ones, width):
@@ -121,7 +95,7 @@ class TestRowFromPositions:
         assert row_from_positions(ones[::-1]) == mask
         assert positions(mask) == ones
         bits = [mask >> i & 1 for i in range(width)]
-        assert _row_words(ones, width) == reference_words(bits)
+        assert encode(bits) == ([len(ones), *ones] if ones else [])
         assert stored_row(bits)[1] == mask
 
     def test_random_rows(self):
@@ -159,8 +133,11 @@ class TestRowFromPositions:
         self._check(positions, width)
 
     def test_position_past_width_rejected(self):
-        with pytest.raises(DimensionMismatchError):
-            _row_words([3], 2)
+        # The encoder takes its ids from the dictionary; a read checks them.
+        data = _encode_matrix(1, {1: [3]}, 1, 2)
+        words = _MatrixWords("row.bin", data, Dictionary(b"", 1, 2, 0, 1))
+        with pytest.raises(StoreError, match="row 1 does not fit 1x2"):
+            words.row_of(1)
 
 
 def bitmat_from_cells(row_space, col_space, n_rows, n_cols, cells):
@@ -190,8 +167,7 @@ def dense(bm):
 
 
 class TestRowTest:
-    """A bit test, on an in-memory row, on a run-length row's file words
-    and as a column read of the file."""
+    """A bit test, on an in-memory row and as a column read of the file."""
 
     @pytest.mark.parametrize("bits", ["1" * 15 + "0" * 25, "0" * 39 + "1", "0100000001"], ids=str)
     def test_matches_positions(self, bits):
@@ -200,16 +176,10 @@ class TestRowTest:
         ones = ones_of(bits)
         assert [p for p in range(1, len(bits) + 1) if bm.test(1, p)] == ones
         assert [p for p in range(1, len(bits) + 1) if words.column(p) is not None] == ones
-        tag, _, *payload = encode(bits)
-        if tag != 2:
-            assert [p for p in range(1, len(bits) + 1) if _runs_test(tag, payload, p)] == ones
 
-    @pytest.mark.parametrize("tag", [1, 2], ids=["rle", "pos"])
-    def test_position_outside_the_width_is_never_set(self, tag):
-        # Each row has its first and last bit set: a run-length row starting
-        # with a set run, and a position row holding 1 and the width.
-        bits = "1" * 15 + "0" * 24 + "1" if tag == 1 else "1" + "0" * 38 + "1"
-        assert encode(bits)[0] == tag
+    @pytest.mark.parametrize("bits", ["1" * 15 + "0" * 24 + "1", "1" + "0" * 38 + "1"], ids=["run", "pos"])
+    def test_position_outside_the_width_is_never_set(self, bits):
+        # Each row has its first and last bit set.
         words, row = stored_row(bits)
         bm = BitMat(bitmat.S, bitmat.O, 1, 40, {1: row})
         assert bm.test(1, 1) and bm.test(1, 40)
@@ -217,8 +187,6 @@ class TestRowTest:
         for pos in (0, -3, 41):
             assert not bm.test(1, pos)
             assert words.column(pos) is None
-            if tag == 1:
-                assert not _runs_test(tag, encode(bits)[2:], pos)
 
 
 class TestFoldUnfold:

@@ -135,6 +135,22 @@ class TestLoad:
         assert f"line 1: bad integer lexical form {lexical!r}" in err[0], err
 
 
+def _balanced_unions(n):
+    """A group of ``n`` UNION branches nested as a balanced tree, so that
+    it stays far inside the nesting limit."""
+    if n == 1:
+        return "{ ?x :hasFriend ?y }"
+    return f"{{ {_balanced_unions(n // 2)} UNION {_balanced_unions(n - n // 2)} }}"
+
+
+def _joined_unions(n):
+    """A group of ``n`` disjuncts as k joined UNIONs beside a pattern, which
+    make 2^k, for the largest 2^k <= n; a UNION branch per disjunct more."""
+    k = n.bit_length() - 1
+    unions = " ".join(f"{{ ?x :hasFriend ?a{i} }} UNION {{ ?x :hasFriend ?a{i} }}" for i in range(k))
+    return f"{{ ?x :hasFriend ?y {unions} }}" + " UNION { ?x :hasFriend ?y }" * (n - 2**k)
+
+
 class TestQuery:
     def test_q1_tsv(self, tmp_path, store_dir, capsys):
         qpath = write_query(tmp_path, Q1_TEXT)
@@ -297,6 +313,37 @@ class TestQuery:
             else:
                 assert err == [f"error: rejected: query nests deeper than {MAX_NESTING} levels"]
 
+    # A query of as many union-normal-form disjuncts as the cap runs; one
+    # more is rejected before any disjunct is built.
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            _balanced_unions,
+            _joined_unions,
+        ],
+        ids=["balanced-unions", "joined-unions"],
+    )
+    def test_disjunct_limit(self, tmp_path, store_dir, capsys, monkeypatch, shape):
+        import bitopt.executor
+        import bitopt.parser
+        from bitopt.parser import MAX_DISJUNCTS, parse, unf_size
+        from bitopt.rewriter import to_unf
+
+        for size, code in ((MAX_DISJUNCTS, EXIT_OK), (MAX_DISJUNCTS + 1, EXIT_REJECTED)):
+            text = f"SELECT ?x WHERE {{ {shape(size)} }}"
+            with monkeypatch.context() as uncapped:
+                uncapped.setattr(bitopt.parser, "MAX_DISJUNCTS", size)
+                root = parse(text).root
+            assert unf_size(root) == len(to_unf(root).disjuncts) == size
+            if code == EXIT_REJECTED:
+                monkeypatch.setattr(bitopt.executor, "to_unf", lambda root: pytest.fail("to_unf ran"))
+            assert main(["query", str(store_dir), write_query(tmp_path, text)]) == code, size
+            err = capsys.readouterr().err.splitlines()
+            if code == EXIT_OK:
+                assert err == []
+            else:
+                assert err == [f"error: rejected: query has more than {MAX_DISJUNCTS} union-normal-form disjuncts"]
+
     def test_unsafe_order_requires_no_prune(self, tmp_path, store_dir):
         qpath = write_query(tmp_path, Q1_TEXT)
         assert main(["query", str(store_dir), qpath, "--unsafe-order"]) == EXIT_IO
@@ -445,20 +492,42 @@ def _slice_key_repeated(store_dir):
     _set_word(store_dir / "bm_so_3.bin", 1, 1)
 
 
-def _first_row(path):
-    """A matrix file's words and the index of its first row's length word."""
+def _row_offsets(path):
+    """A matrix file's words and the offset of each stored row's length
+    word. The rows follow seven header words, each row its index, its
+    length and its positions, and the last row ends the file."""
     words = struct.unpack(f"<{path.stat().st_size // 4}I", path.read_bytes())
-    at = 5
-    for _ in range(2):  # skip the non-empty row and column masks
+    offsets, at = [], 7
+    for _ in range(words[6]):
+        offsets.append(at + 1)
         at += 2 + words[at + 1]
-    return words, at + 3  # words: count, row index, tag, length
+    assert at == len(words)
+    return words, offsets
 
 
 def _row_past_width(store_dir):
     path = store_dir / "bm_so_1.bin"
-    words, at = _first_row(path)
-    last_word = at + words[at]
+    words, offsets = _row_offsets(path)
+    last_word = offsets[0] + words[offsets[0]]
     _set_word(path, last_word, words[last_word] + 1000)
+
+
+def _length_past_end(store_dir):
+    # The last row of :actedIn claims one position more than the file holds.
+    path = store_dir / "bm_so_2.bin"
+    words, offsets = _row_offsets(path)
+    _set_word(path, offsets[-1], words[offsets[-1]] + 1)
+
+
+def _count_differs_from_lengths(store_dir):
+    # A row of :actedIn loses its last position; the header keeps its count.
+    path = store_dir / "bm_so_2.bin"
+    words, offsets = _row_offsets(path)
+    at = next(o for o in offsets if words[o] > 1)
+    last = at + words[at]
+    words = [*words[:last], *words[last + 1 :]]
+    words[at] -= 1
+    path.write_bytes(struct.pack(f"<{len(words)}I", *words))
 
 
 def _dictionary_ids_not_dense(store_dir):
@@ -643,7 +712,7 @@ class TestManifestVersion:
         # The manifest as format 2 wrote it: no dict.tsv line.
         manifest = store_dir / "manifest.txt"
         lines = manifest.read_text().splitlines()
-        assert lines[0] == "bitopt-store-format 3"
+        assert lines[0] == "bitopt-store-format 4"
         lines = ["bitopt-store-format 2"] + [ln for ln in lines[1:] if not ln.startswith("dict.tsv ")]
         manifest.write_text("\n".join(lines) + "\n")
         qpath = write_query(tmp_path, Q1_TEXT)
@@ -651,6 +720,20 @@ class TestManifestVersion:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
         assert "bitopt load --force" in err[0]
+
+    def test_format_3_store_must_be_reloaded(self, tmp_path, store_dir, capsys):
+        # Format 3 wrote the same manifest lines over matrix files whose rows
+        # carry a tag word; its version line alone tells them apart.
+        manifest = store_dir / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("\n".join(["bitopt-store-format 3", *lines[1:]]) + "\n")
+        qpath = write_query(tmp_path, Q1_TEXT)
+        assert main(["query", str(store_dir), qpath]) == EXIT_IO
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert "bitopt-store-format 4" in err[0] and "bitopt load --force" in err[0]
+        assert captured.out == ""
 
     @pytest.mark.parametrize("entry", ["bm_so_1.bin 72", "bm_so_1.bin 72 x", "../store/bm_so_1.bin 72 1"])
     def test_malformed_entry(self, tmp_path, store_dir, capsys, entry):
@@ -715,6 +798,23 @@ class TestResealedDamage:
         assert captured.out == ""
 
 
+    @pytest.mark.parametrize(
+        "damage, why",
+        [(_length_past_end, "truncated S-O matrix"), (_count_differs_from_lengths, "header count 5 != stored bits 4")],
+        ids=["length_past_end", "count_differs_from_lengths"],
+    )
+    def test_row_structure_checked_on_first_use(self, tmp_path, store_dir, capsys, damage, why):
+        damage(store_dir)
+        _reseal(store_dir, "bm_so_2.bin")
+        TripleStore.open(str(store_dir))
+        capsys.readouterr()
+        qpath = write_query(tmp_path, Q1_TEXT)
+        assert main(["query", str(store_dir), qpath]) == EXIT_IO
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "bm_so_2.bin" in err[0], err
+        assert why in err[0] and captured.out == ""
+
     def test_unordered_positions(self, tmp_path, capsys):
         # Three subjects over six objects; row s0 is stored as the positions
         # 1 4 (:o0 and :o3), rewritten here as 4 1.
@@ -723,8 +823,9 @@ class TestResealedDamage:
         directory = tmp_path / "grid"
         assert main(["load", str(directory), str(data)]) == EXIT_OK
         path = directory / "bm_so_1.bin"
-        words, at = _first_row(path)
-        assert words[at - 2 : at + 3] == (1, 2, 2, 1, 4)  # row index, tag, length, payload
+        words, offsets = _row_offsets(path)
+        at = offsets[0]
+        assert words[at - 1 : at + 3] == (1, 2, 1, 4)  # row index, length, positions
         _set_word(path, at + 1, 4)
         _set_word(path, at + 2, 1)
         _reseal(directory, path.name)

